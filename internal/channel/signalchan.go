@@ -134,12 +134,16 @@ func NewSignal(cfg SignalConfig, r *rng.Source) *Signal {
 
 // Reset rewinds the channel for a fresh repetition over a new RNG. The
 // per-run draws (gains, offsets, offset-dependent rotation ramps) are
-// discarded; the reference-waveform cache is a pure function of the tag ID
-// and samples-per-bit, so it carries over, as do the recycled rx planes.
+// discarded, and so is the reference-waveform cache: a repetition draws a
+// fresh population, so carrying references over would grow the cache by
+// one waveform per distinct ID without bound, while regenerating one is a
+// cheap table walk (see signal.ModulateInto). The recycled rx planes carry
+// over.
 func (c *Signal) Reset(r *rng.Source) {
 	c.rng = r
 	clear(c.gains)
 	clear(c.offsets)
+	clear(c.refs)
 	clear(c.rots)
 }
 
@@ -232,7 +236,7 @@ func (c *Signal) Observe(transmitters []tagid.ID) Observation {
 		g := c.gain(id)
 		if c.cfg.PhaseJitter > 0 {
 			j := (2*c.rng.Float64() - 1) * c.cfg.PhaseJitter
-			g *= cmplx.Exp(complex(0, j))
+			g *= signal.Cis(j)
 		}
 		ref := c.reference(id)
 		if dw := c.offset(id); dw != 0 {

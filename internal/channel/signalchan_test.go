@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/ancrfid/ancrfid/internal/rng"
+	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
 func newSignalChan(seed uint64) (*Signal, *rng.Source) {
@@ -206,6 +207,44 @@ func TestSignalFrequencyOffsetSingletons(t *testing.T) {
 		obs := ch.Observe(tags)
 		if obs.Kind != Singleton || obs.ID != tags[0] {
 			t.Fatalf("singleton decode failed under oscillator offset (kind %v)", obs.Kind)
+		}
+	}
+}
+
+// TestSignalResetBoundsReferenceCache reuses one channel across
+// repetitions over fresh populations, as the campaign runner does through
+// Resettable. The reference cache must hold at most one population, and
+// every observation and decode must match a newly constructed channel's.
+func TestSignalResetBoundsReferenceCache(t *testing.T) {
+	const pop, reps = 40, 6
+	reused := NewSignal(SignalConfig{MaxCancel: 2}, rng.New(1000))
+	for rep := 0; rep < reps; rep++ {
+		seed := uint64(1000 + rep)
+		if rep > 0 {
+			reused.Reset(rng.New(seed))
+		}
+		fresh := NewSignal(SignalConfig{MaxCancel: 2}, rng.New(seed))
+		tags := ids(rng.New(seed+500), pop)
+		for i := 0; i+2 <= len(tags); i += 2 {
+			for _, tx := range [][]tagid.ID{tags[i : i+1], tags[i : i+2]} {
+				got, want := reused.Observe(tx), fresh.Observe(tx)
+				if got.Kind != want.Kind || got.ID != want.ID {
+					t.Fatalf("rep %d: observation %v/%v, fresh channel %v/%v", rep, got.Kind, got.ID, want.Kind, want.ID)
+				}
+				if got.Mix == nil {
+					continue
+				}
+				got.Mix.Subtract(tx[0])
+				want.Mix.Subtract(tx[0])
+				gotID, gotOK := got.Mix.Decode()
+				wantID, wantOK := want.Mix.Decode()
+				if gotID != wantID || gotOK != wantOK {
+					t.Fatalf("rep %d: decode %v/%v, fresh channel %v/%v", rep, gotID, gotOK, wantID, wantOK)
+				}
+			}
+		}
+		if len(reused.refs) > pop {
+			t.Fatalf("rep %d: reference cache holds %d waveforms, population is %d", rep, len(reused.refs), pop)
 		}
 	}
 }

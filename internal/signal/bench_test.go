@@ -94,3 +94,17 @@ func BenchmarkEnvelopeFlatScalar(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkModulateIDInto measures reference synthesis on the plane path,
+// one ID per iteration cycling through a 2000-tag population — the work
+// the signal channel does on first sight of each tag in a run.
+func BenchmarkModulateIDInto(b *testing.B) {
+	ids := tagid.Population(rng.New(7), 2000)
+	var p Plane
+	ModulateIDInto(&p, ids[0], DefaultSamplesPerBit)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ModulateIDInto(&p, ids[i%len(ids)], DefaultSamplesPerBit)
+	}
+}

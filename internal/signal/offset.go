@@ -65,7 +65,7 @@ func EstimateGainAndOffset(mixed, ref Waveform, spb int) (gain complex128, offse
 // response at candidate offset dw.
 func offsetCorrelation(mixed, ref Waveform, dw float64) float64 {
 	var dot complex128
-	rot := cmplx.Exp(complex(0, dw))
+	rot := Cis(dw)
 	phase := complex(1, 0)
 	for n := range ref {
 		dot += cmplx.Conj(ref[n]*phase) * mixed[n]
@@ -78,7 +78,7 @@ func offsetCorrelation(mixed, ref Waveform, dw float64) float64 {
 // reference inside mixed.
 func lsGainAtOffset(mixed, ref Waveform, dw float64) complex128 {
 	var dot, energy complex128
-	rot := cmplx.Exp(complex(0, dw))
+	rot := Cis(dw)
 	phase := complex(1, 0)
 	for n := range ref {
 		r := ref[n] * phase
@@ -107,7 +107,7 @@ func CancelWithOffsetInto(dst, mixed, ref Waveform, gain complex128, offset floa
 	}
 	dst = dst[:len(mixed)]
 	copy(dst, mixed)
-	rot := cmplx.Exp(complex(0, offset))
+	rot := Cis(offset)
 	phase := complex(1, 0)
 	for n := range ref {
 		dst[n] -= gain * phase * ref[n]

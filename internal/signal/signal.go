@@ -57,24 +57,11 @@ func (w Waveform) Energy() float64 {
 // samples per bit with unit amplitude and zero initial phase. The first
 // sample is a pilot at the initial phase so that a differential demodulator
 // has a reference for the first bit; the result therefore has
-// 1 + nbits*spb samples.
+// 1 + nbits*spb samples. It shares ModulateInto's table walk (see msk.go).
 func Modulate(data []byte, nbits, spb int) Waveform {
-	w := make(Waveform, 1+nbits*spb)
-	phase := 0.0
-	w[0] = complex(1, 0)
-	n := 1
-	for i := 0; i < nbits; i++ {
-		step := phaseStepPerBit / float64(spb)
-		if data[i/8]>>(7-i%8)&1 == 0 {
-			step = -step
-		}
-		for s := 0; s < spb; s++ {
-			phase += step
-			w[n] = cmplx.Exp(complex(0, phase))
-			n++
-		}
-	}
-	return w
+	var p Plane
+	ModulateInto(&p, data, nbits, spb)
+	return p.Waveform(make(Waveform, 0, p.Len()))
 }
 
 // ModulateID returns the canonical unit-gain waveform of a 96-bit tag ID.
@@ -103,7 +90,7 @@ func Scale(w Waveform, gain complex128) Waveform {
 func ApplyFrequencyOffset(w Waveform, radPerSample float64) Waveform {
 	out := make(Waveform, len(w))
 	for i, s := range w {
-		out[i] = s * cmplx.Exp(complex(0, radPerSample*float64(i)))
+		out[i] = s * Cis(radPerSample*float64(i))
 	}
 	return out
 }

@@ -88,24 +88,10 @@ func (p *Plane) CopyFrom(src *Plane) {
 	copy(p.Im, src.Im)
 }
 
-// ModulateInto is Modulate writing into a reusable plane.
+// ModulateInto is Modulate writing into a reusable plane. Both walk the
+// shared MSK phase-state table (see msk.go).
 func ModulateInto(p *Plane, data []byte, nbits, spb int) {
-	p.resize(1 + nbits*spb)
-	phase := 0.0
-	p.Re[0], p.Im[0] = 1, 0
-	n := 1
-	for i := 0; i < nbits; i++ {
-		step := phaseStepPerBit / float64(spb)
-		if data[i/8]>>(7-i%8)&1 == 0 {
-			step = -step
-		}
-		for s := 0; s < spb; s++ {
-			phase += step
-			e := cmplx.Exp(complex(0, phase))
-			p.Re[n], p.Im[n] = real(e), imag(e)
-			n++
-		}
-	}
+	mskTables.modulateInto(p, data, nbits, spb)
 }
 
 // ModulateIDInto is ModulateID writing into a reusable plane.
@@ -120,7 +106,7 @@ func ModulateIDInto(p *Plane, id tagid.ID, spb int) {
 func RotationInto(p *Plane, dw float64, n int) {
 	p.resize(n)
 	for i := 0; i < n; i++ {
-		e := cmplx.Exp(complex(0, dw * float64(i)))
+		e := Cis(dw * float64(i))
 		p.Re[i], p.Im[i] = real(e), imag(e)
 	}
 }
@@ -367,7 +353,7 @@ func CancelIntoPlane(dst, mixed *Plane, refs []*Plane, gains []complex128) *Plan
 
 // offsetCorrelationPlane is offsetCorrelation over planes.
 func offsetCorrelationPlane(mixed, ref *Plane, dw float64) float64 {
-	rot := cmplx.Exp(complex(0, dw))
+	rot := Cis(dw)
 	phase := complex(1, 0)
 	n := ref.Len()
 	rr, ri := ref.Re[:n], ref.Im[:n]
@@ -387,7 +373,7 @@ func offsetCorrelationPlane(mixed, ref *Plane, dw float64) float64 {
 
 // lsGainAtOffsetPlane is lsGainAtOffset over planes.
 func lsGainAtOffsetPlane(mixed, ref *Plane, dw float64) complex128 {
-	rot := cmplx.Exp(complex(0, dw))
+	rot := Cis(dw)
 	phase := complex(1, 0)
 	n := ref.Len()
 	rr, ri := ref.Re[:n], ref.Im[:n]
@@ -454,7 +440,7 @@ func CancelWithOffsetIntoPlane(dst, mixed, ref *Plane, gain complex128, offset f
 	if dst != mixed {
 		dst.CopyFrom(mixed)
 	}
-	rot := cmplx.Exp(complex(0, offset))
+	rot := Cis(offset)
 	phase := complex(1, 0)
 	dr, di := dst.Re[:n], dst.Im[:n]
 	rr, ri := ref.Re[:n], ref.Im[:n]
