@@ -108,11 +108,12 @@ func differentialHash(t *testing.T, c differentialCase) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-func readGoldenHashes(t *testing.T) map[string]string {
+// readGoldenFile parses a capture-hash golden file of "key hash" lines.
+func readGoldenFile(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(differentialGolden)
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("missing differential golden (generate with UPDATE_GOLDEN=1): %v", err)
+		t.Fatalf("missing golden %s (generate with UPDATE_GOLDEN=1): %v", path, err)
 	}
 	defer f.Close()
 	want := make(map[string]string)
@@ -160,7 +161,7 @@ func TestDifferentialGolden(t *testing.T) {
 		t.Logf("regenerated %s with %d cells", differentialGolden, len(cases))
 		return
 	}
-	want := readGoldenHashes(t)
+	want := readGoldenFile(t, differentialGolden)
 	if len(want) != len(cases) {
 		t.Fatalf("golden has %d cells, expected %d", len(want), len(cases))
 	}
