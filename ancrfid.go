@@ -434,9 +434,15 @@ func AsSession(p Protocol) (SessionProtocol, bool) {
 	return sp, ok
 }
 
+// ErrDynamicFaults is returned by RunDynamic and RunDynamicOnce when the
+// campaign configures fault injection; RunChaos is the fault-injected
+// dynamic path.
+var ErrDynamicFaults = sim.ErrDynamicFaults
+
 // RunDynamic executes a dynamic-population Monte-Carlo campaign: each run
 // drives a session of p under cfg.Workload's arrival/departure schedule.
 // Workers > 1 parallelises with the same ordered-merge determinism as Run.
+// It fails with ErrDynamicFaults when cfg.Faults enables fault injection.
 func RunDynamic(p SessionProtocol, cfg DynamicSimConfig) (DynamicSimResult, error) {
 	return sim.RunDynamic(p, cfg)
 }

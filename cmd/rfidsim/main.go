@@ -202,6 +202,13 @@ func run(args []string) error {
 		CorruptDecode:    *faultCorrupt,
 		CrashEvery:       *faultCrash,
 	}
+	fleetMode := *readers > 1 || *zones > 1 || *migrate > 0 || *policyName != "none"
+	dynamicMode := *arrivalRate > 0 || *departureRate > 0 || *duration > 0
+	if cfg.Faults.Enabled() && dynamicMode && !*chaos && !fleetMode && *sweepSeverity == 0 {
+		// The continuous-inventory driver runs no fault channel; chaos mode
+		// is the fault-injected dynamic run.
+		return fmt.Errorf("-fault-* flags with -arrival-rate, -departure-rate or -duration need -chaos")
+	}
 
 	var (
 		tracers     []ancrfid.Tracer
@@ -394,7 +401,7 @@ func run(args []string) error {
 		return runSeveritySweep(cfg, lam, *sweepSeverity)
 	}
 
-	if *readers > 1 || *zones > 1 || *migrate > 0 || *policyName != "none" {
+	if fleetMode {
 		topo := ancrfid.FleetTopology{
 			Readers:       *readers,
 			Zones:         *zones,
@@ -446,7 +453,7 @@ func run(args []string) error {
 		return flushOutputs()
 	}
 
-	if *arrivalRate > 0 || *departureRate > 0 || *duration > 0 {
+	if dynamicMode {
 		horizon := *duration
 		if horizon <= 0 {
 			horizon = 10 * time.Second

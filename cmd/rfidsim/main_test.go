@@ -49,6 +49,31 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunDynamicRejectsFaultFlags checks that fault flags on a
+// continuous-inventory run are refused unless chaos mode consumes them;
+// before, the dynamic driver silently ran fault-free.
+func TestRunDynamicRejectsFaultFlags(t *testing.T) {
+	dyn := []string{"-protocol", "DFSA", "-tags", "40", "-runs", "1", "-seed", "5"}
+	for _, extra := range [][]string{
+		{"-arrival-rate", "50", "-duration", "500ms", "-fault-ack-loss", "0.5", "-fault-mute", "0.3"},
+		{"-departure-rate", "0.5", "-fault-stuck", "0.1"},
+		{"-duration", "500ms", "-fault-crash-every", "64"},
+	} {
+		args := append(append([]string(nil), dyn...), extra...)
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "-chaos") {
+			t.Errorf("args %v: want a -chaos error, got %v", args, err)
+		}
+	}
+	// The same shapes are accepted with -chaos, and without fault flags.
+	if err := run(append(dyn, "-arrival-rate", "50", "-duration", "500ms", "-fault-ack-loss", "0.5", "-chaos")); err != nil {
+		t.Errorf("chaos mode: %v", err)
+	}
+	if err := run(append(dyn, "-arrival-rate", "50", "-duration", "500ms")); err != nil {
+		t.Errorf("fault-free dynamic mode: %v", err)
+	}
+}
+
 func TestRunGen2AndAckLoss(t *testing.T) {
 	if err := run([]string{"-protocol", "FCAT-2", "-tags", "150", "-runs", "1",
 		"-timing", "gen2", "-ackloss", "0.3"}); err != nil {

@@ -20,16 +20,12 @@
 package crdsa
 
 import (
-	"maps"
 	"math"
-	"time"
 
-	"github.com/ancrfid/ancrfid/internal/air"
 	"github.com/ancrfid/ancrfid/internal/channel"
 	obsev "github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
 	"github.com/ancrfid/ancrfid/internal/record"
-	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
@@ -79,51 +75,36 @@ func (p *Protocol) Run(env *protocol.Env) (protocol.Metrics, error) {
 // cancellation pass, unread filter and backlog update at the back) fold
 // into the steps that run the frame's first and last slots.
 type session struct {
-	p      *Protocol
-	env    *protocol.Env
-	m      protocol.Metrics
-	clock  air.Clock
-	unread []tagid.ID
-	seen   map[tagid.ID]struct{}
+	protocol.Framed
+	p *Protocol
+	policy
 
-	slots, budget int
-	backlog       int
+	// Current-frame state, meaningful while InFrame: the frame's record
+	// store and the directly read tags awaiting the cancellation pass.
+	store *record.Store
+	queue []tagid.ID
+}
+
+// policy is CRDSA's own session state on top of the framed core; a plain
+// value, so checkpoints copy it whole.
+type policy struct {
+	backlog int
 	// growth dilutes the frame after a fruitless one: with few tags and
 	// several replicas a matched frame can deadlock deterministically
 	// (e.g. two tags with three replicas in three slots collide in every
 	// slot forever), so a no-progress frame doubles the next frame's size
 	// until reads resume.
 	growth int
-
-	// Current-frame state, meaningful while inFrame.
-	inFrame       bool
-	frameLen      int
-	slotJ         int
-	transmissions int
-	occ           [][]tagid.ID
-	store         *record.Store
-	queue         []tagid.ID
-	read          map[tagid.ID]struct{}
-
-	err error
+	placed int // tags placed in the current frame
 }
 
 var _ protocol.Session = (*session)(nil)
 
 // Begin implements protocol.SessionProtocol.
 func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
-	s := &session{
-		p:      p,
-		env:    env,
-		m:      protocol.Metrics{Tags: len(env.Tags)},
-		unread: make([]tagid.ID, len(env.Tags)),
-		seen:   make(map[tagid.ID]struct{}, len(env.Tags)),
-		budget: env.SlotBudget(),
-		growth: 1,
-	}
-	env.Clock = &s.clock
-	env.TraceRunStart(p.Name())
-	copy(s.unread, env.Tags)
+	s := &session{p: p}
+	s.Open(p.Name(), env)
+	s.growth = 1
 	s.backlog = p.cfg.InitialBacklog
 	if s.backlog <= 0 {
 		s.backlog = len(env.Tags)
@@ -131,90 +112,61 @@ func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
 	return s
 }
 
-// Protocol implements protocol.Session.
-func (s *session) Protocol() string { return s.p.Name() }
-
 // Step implements protocol.Session. A done session keeps stepping: with
 // the backlog floored at one, the minimum-size frame keeps polling the
 // field, so newly admitted tags are observed in the next frame.
 func (s *session) Step() (bool, error) {
-	if s.err != nil {
-		return false, s.err
+	if s.Err != nil {
+		return false, s.Err
 	}
-	if !s.inFrame {
-		if s.slots >= s.budget {
-			s.err = protocol.ErrNoProgress
-			return false, s.err
-		}
+	if !s.InFrame {
 		frameSize := int(math.Round(float64(s.backlog)/OptimalLoad)) * s.growth
 		if frameSize < s.p.cfg.Replicas+1 {
 			frameSize = s.p.cfg.Replicas + 1
 		}
-		s.clock.Add(s.env.Timing.FrameAnnouncement())
-		s.m.Frames++
-		s.env.TraceFrame(obsev.FrameEvent{Seq: s.slots, Frame: s.m.Frames, Size: frameSize, P: 1})
+		occ, err := s.StartFrame(frameSize, 1)
+		if err != nil {
+			return false, err
+		}
 
 		// Replica placement: each tag picks Replicas distinct slots. In
 		// the real scheme a decoded packet's header points at its twin
 		// slots; the record store's member index realises the same
 		// knowledge.
-		s.occ = make([][]tagid.ID, frameSize)
-		replicas := s.p.cfg.Replicas
-		if replicas > frameSize {
-			replicas = frameSize
-		}
-		s.transmissions = 0
-		for _, id := range s.unread {
-			for _, slot := range s.env.RNG.SampleDistinct(replicas, frameSize) {
-				s.occ[slot] = append(s.occ[slot], id)
+		replicas := min(s.p.cfg.Replicas, frameSize)
+		unread := s.Unread()
+		for _, id := range unread {
+			for _, slot := range s.Env.RNG.SampleDistinct(replicas, frameSize) {
+				occ[slot] = append(occ[slot], id)
 			}
-			s.transmissions++
 		}
+		s.placed = len(unread)
 
 		// Tags already identified in earlier frames (but retransmitting
 		// after a lost acknowledgement) are marked known so their replicas
 		// are subtracted on sight.
 		s.store = record.NewStore()
-		s.store.Tracer = s.env.Tracer
-		s.store.Quarantine = s.env.Hardened()
-		for _, id := range s.unread {
-			if _, ok := s.seen[id]; ok {
+		s.store.Tracer = s.Env.Tracer
+		s.store.Quarantine = s.Env.Hardened()
+		for _, id := range unread {
+			if _, ok := s.Seen[id]; ok {
 				s.store.MarkKnown(id)
 			}
 		}
 		s.queue = s.queue[:0]
-		s.read = make(map[tagid.ID]struct{})
-		s.frameLen = frameSize
-		s.slotJ = 0
-		s.inFrame = true
 	}
 
 	// Observe one slot: decode a singleton directly, record a collision.
-	j := s.slotJ
-	tx := s.occ[j]
-	obs := s.env.Channel.Observe(tx)
+	j := s.SlotJ
+	tx, obs := s.Observe()
 	switch obs.Kind {
 	case channel.Empty:
-		s.m.EmptySlots++
+		s.M.EmptySlots++
 	case channel.Singleton:
-		s.m.SingletonSlots++
-		if _, dup := s.seen[obs.ID]; !dup {
-			// A tag can appear in two singleton slots of one frame; it is
-			// read once and its twin is simply redundant.
-			s.seen[obs.ID] = struct{}{}
-			s.m.DirectIDs++
-			s.env.NotifyIdentified(obs.ID, false)
-			s.queue = append(s.queue, obs.ID)
-		}
-		delivered := s.env.AckDelivered()
-		s.env.TraceAck(obsev.AckEvent{
-			Seq: j, ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
-		if delivered {
-			s.read[obs.ID] = struct{}{}
-		}
+		s.M.SingletonSlots++
+		s.readDirect(j, obs.ID)
 	case channel.Collision:
-		s.m.CollisionSlots++
+		s.M.CollisionSlots++
 		for _, res := range s.store.Add(uint64(j), obs.Mix, tx) {
 			s.countResolved(j, res.ID)
 		}
@@ -223,71 +175,53 @@ func (s *session) Step() (bool, error) {
 		// decoded. Treat the captured ID as a direct read feeding the
 		// end-of-frame cancellation queue, and keep the recording — with
 		// the captured tag known, Add subtracts it on arrival.
-		s.m.CollisionSlots++
-		if _, dup := s.seen[obs.ID]; !dup {
-			s.seen[obs.ID] = struct{}{}
-			s.m.DirectIDs++
-			s.env.NotifyIdentified(obs.ID, false)
-			s.queue = append(s.queue, obs.ID)
-		}
-		delivered := s.env.AckDelivered()
-		s.env.TraceAck(obsev.AckEvent{
-			Seq: j, ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
-		if delivered {
-			s.read[obs.ID] = struct{}{}
-		}
+		s.M.CollisionSlots++
+		s.readDirect(j, obs.ID)
 		s.store.MarkKnown(obs.ID)
 		for _, res := range s.store.Add(uint64(j), obs.Mix, tx) {
 			s.countResolved(j, res.ID)
 		}
 	}
-	s.m.TagTransmissions += len(tx)
-	s.env.NotifySlot(protocol.SlotEvent{
-		Seq:          s.m.TotalSlots() - 1,
-		Kind:         obs.Kind,
-		Transmitters: len(tx),
-		Identified:   s.m.Identified(),
-	})
-	s.slotJ++
-	s.slots++
-	s.clock.Add(s.env.Timing.Slot())
-	if s.slotJ < s.frameLen {
+	if !s.EndSlot(obs.Kind, len(tx)) {
 		return false, nil
 	}
 
 	// Frame end. Iterative cancellation: each decoded tag's replicas are
 	// subtracted from their slots; every stripped-bare record yields a new
 	// tag, whose replicas the store cascades through in turn.
-	s.inFrame = false
 	for _, id := range s.queue {
 		for _, res := range s.store.OnIdentified(id) {
 			s.countResolved(int(res.Slot), res.ID)
 		}
 	}
 	s.store = nil
-	if s.transmissions == 0 {
+	if s.placed == 0 {
 		return true, nil
 	}
-	if len(s.read) == 0 {
+	if len(s.Read) == 0 {
 		s.growth *= 2
 	} else {
 		s.growth = 1
 	}
-	if len(s.read) > 0 {
-		remaining := s.unread[:0]
-		for _, id := range s.unread {
-			if _, ok := s.read[id]; !ok {
-				remaining = append(remaining, id)
-			}
-		}
-		s.unread = remaining
-	}
-	s.backlog -= len(s.read)
+	s.Silence()
+	s.backlog -= len(s.Read)
 	if s.backlog < 1 {
 		s.backlog = 1
 	}
 	return false, nil
+}
+
+// readDirect counts a tag decoded from its own slot j and acknowledges it.
+// A tag can appear in two singleton slots of one frame; it is read once
+// (and queued for the cancellation pass) and its twin is simply redundant.
+func (s *session) readDirect(j int, id tagid.ID) {
+	if _, dup := s.Seen[id]; !dup {
+		s.Seen[id] = struct{}{}
+		s.M.DirectIDs++
+		s.Env.NotifyIdentified(id, false)
+		s.queue = append(s.queue, id)
+	}
+	s.ack(j, id, obsev.AckDirect)
 }
 
 // countResolved counts a tag recovered by interference cancellation and
@@ -295,18 +229,20 @@ func (s *session) Step() (bool, error) {
 // the current slot for record-time resolutions, the record's own slot for
 // the frame-end cascade.
 func (s *session) countResolved(seq int, id tagid.ID) {
-	if _, dup := s.seen[id]; dup {
+	if _, dup := s.Seen[id]; dup {
 		return
 	}
-	s.seen[id] = struct{}{}
-	s.m.ResolvedIDs++
-	s.env.NotifyIdentified(id, true)
-	delivered := s.env.AckDelivered()
-	s.env.TraceAck(obsev.AckEvent{
-		Seq: seq, ID: id, Kind: obsev.AckResolvedID, Delivered: delivered,
-	})
+	s.Seen[id] = struct{}{}
+	s.M.ResolvedIDs++
+	s.Env.NotifyIdentified(id, true)
+	s.ack(seq, id, obsev.AckResolvedID)
+}
+
+func (s *session) ack(seq int, id tagid.ID, kind obsev.AckKind) {
+	delivered := s.Env.AckDelivered()
+	s.Env.TraceAck(obsev.AckEvent{Seq: seq, ID: id, Kind: kind, Delivered: delivered})
 	if delivered {
-		s.read[id] = struct{}{}
+		s.Read[id] = struct{}{}
 	}
 }
 
@@ -314,191 +250,57 @@ func (s *session) countResolved(seq int, id tagid.ID) {
 // place replicas from the next frame on, and raise the backlog estimate
 // the frame sizing uses.
 func (s *session) Admit(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.seen[id]; identified {
-			continue
-		}
-		if containsID(s.unread, id) {
-			continue
-		}
-		s.unread = append(s.unread, id)
-		s.m.Tags++
-		s.backlog++
-	}
+	s.AdmitEach(ids, func(tagid.ID) { s.backlog++ })
 }
 
 // Revoke implements protocol.Session: the tags leave the backlog, their
 // not-yet-observed replicas are stripped from the current frame, and their
 // already-recorded replicas are invalidated in the frame's store.
 func (s *session) Revoke(ids []tagid.ID) {
-	for _, id := range ids {
-		if !removeID(&s.unread, id) {
-			continue
-		}
-		if s.inFrame {
-			for j := s.slotJ; j < s.frameLen; j++ {
-				bucket := s.occ[j]
-				if removeID(&bucket, id) {
-					s.occ[j] = bucket
-				}
-			}
-			if _, identified := s.seen[id]; !identified {
-				s.store.Revoke(id)
-			}
+	s.RevokeEach(ids, func(id tagid.ID) {
+		if _, identified := s.Seen[id]; s.InFrame && !identified {
+			s.store.Revoke(id)
 		}
 		if s.backlog > 1 {
 			s.backlog--
 		}
-	}
+	})
 }
 
-// containsID reports whether ids contains id.
-func containsID(ids []tagid.ID, id tagid.ID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// removeID deletes id from *ids preserving order; it reports whether the
-// id was present.
-func removeID(ids *[]tagid.ID, id tagid.ID) bool {
-	for i, v := range *ids {
-		if v == id {
-			*ids = append((*ids)[:i], (*ids)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Metrics implements protocol.Session.
-func (s *session) Metrics() protocol.Metrics {
-	m := s.m
-	m.OnAir = s.clock.Elapsed()
-	return m
-}
-
-// Elapsed implements protocol.Session.
-func (s *session) Elapsed() time.Duration { return s.clock.Elapsed() }
-
-// Outstanding implements protocol.Session.
-func (s *session) Outstanding() int { return len(s.unread) }
-
-// checkpoint is a deep copy of a CRDSA session's state.
+// checkpoint is CRDSA's state beyond the framed core; the store and the
+// queue exist only mid-frame.
 type checkpoint struct {
-	name   string
-	m      protocol.Metrics
-	clock  air.Clock
-	unread []tagid.ID
-	seen   map[tagid.ID]struct{}
-
-	slots, budget int
-	backlog       int
-	growth        int
-
-	inFrame       bool
-	frameLen      int
-	slotJ         int
-	transmissions int
-	occ           [][]tagid.ID
-	store         *record.Store
-	queue         []tagid.ID
-	read          map[tagid.ID]struct{}
-
-	err error
-
-	rng       rng.Source
-	chanState any
+	policy
+	store *record.Store
+	queue []tagid.ID
 }
-
-// Protocol implements protocol.Checkpoint.
-func (c *checkpoint) Protocol() string { return c.name }
 
 // Snapshot implements protocol.Session.
 func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	cp := &checkpoint{
-		name:          s.p.Name(),
-		m:             s.m,
-		clock:         s.clock,
-		unread:        append([]tagid.ID(nil), s.unread...),
-		seen:          maps.Clone(s.seen),
-		slots:         s.slots,
-		budget:        s.budget,
-		backlog:       s.backlog,
-		growth:        s.growth,
-		inFrame:       s.inFrame,
-		frameLen:      s.frameLen,
-		slotJ:         s.slotJ,
-		transmissions: s.transmissions,
-		err:           s.err,
-		rng:           *s.env.RNG,
-	}
-	if s.inFrame {
+	cp := checkpoint{policy: s.policy}
+	if s.InFrame {
 		var err error
 		if cp.store, err = s.store.Clone(); err != nil {
 			return nil, err
 		}
-		cp.occ = make([][]tagid.ID, len(s.occ))
-		for i, b := range s.occ {
-			if len(b) > 0 {
-				cp.occ[i] = append([]tagid.ID(nil), b...)
-			}
-		}
 		cp.queue = append([]tagid.ID(nil), s.queue...)
-		cp.read = maps.Clone(s.read)
 	}
-	if st, ok := s.env.Channel.(channel.Stateful); ok {
-		cp.chanState = st.SnapshotState()
-	}
-	return cp, nil
+	return s.SnapshotWith(cp), nil
 }
 
 // Restore implements protocol.Session.
 func (s *session) Restore(c protocol.Checkpoint) error {
-	cp, ok := c.(*checkpoint)
-	if !ok || cp.name != s.p.Name() {
-		return protocol.ErrCheckpointMismatch
-	}
-	var store *record.Store
-	if cp.inFrame {
-		var err error
-		if store, err = cp.store.Clone(); err != nil {
-			return err
-		}
-	}
-	s.m = cp.m
-	s.clock = cp.clock
-	s.unread = append(s.unread[:0:0], cp.unread...)
-	s.seen = maps.Clone(cp.seen)
-	s.slots = cp.slots
-	s.budget = cp.budget
-	s.backlog = cp.backlog
-	s.growth = cp.growth
-	s.inFrame = cp.inFrame
-	s.frameLen = cp.frameLen
-	s.slotJ = cp.slotJ
-	s.transmissions = cp.transmissions
-	s.store = store
-	s.occ = nil
-	s.queue = nil
-	s.read = nil
-	if cp.inFrame {
-		s.occ = make([][]tagid.ID, len(cp.occ))
-		for i, b := range cp.occ {
-			if len(b) > 0 {
-				s.occ[i] = append([]tagid.ID(nil), b...)
+	return s.RestoreWith(c, func(x any) error {
+		cp := x.(checkpoint)
+		var store *record.Store
+		if cp.store != nil {
+			var err error
+			if store, err = cp.store.Clone(); err != nil {
+				return err
 			}
 		}
+		s.policy, s.store = cp.policy, store
 		s.queue = append([]tagid.ID(nil), cp.queue...)
-		s.read = maps.Clone(cp.read)
-	}
-	s.err = cp.err
-	*s.env.RNG = cp.rng
-	if cp.chanState != nil {
-		s.env.Channel.(channel.Stateful).RestoreState(cp.chanState)
-	}
-	return nil
+		return nil
+	})
 }

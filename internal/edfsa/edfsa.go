@@ -9,16 +9,11 @@
 package edfsa
 
 import (
-	"maps"
 	"math"
-	"time"
 
-	"github.com/ancrfid/ancrfid/internal/air"
-	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/dfsa"
 	obsev "github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
@@ -91,18 +86,17 @@ func (p *Protocol) Run(env *protocol.Env) (protocol.Metrics, error) {
 // front, the unread filter at the back) and round boundaries (the Schoute
 // re-estimate) fold into the adjacent slots' steps.
 type session struct {
+	protocol.Framed
 	p          *Protocol
-	env        *protocol.Env
-	m          protocol.Metrics
-	clock      air.Clock
-	unread     []tagid.ID
-	seen       map[tagid.ID]struct{}
-	scratch    dfsa.FrameScratch
 	membersBuf []tagid.ID
+	policy
+}
 
-	slots, budget int
-	estimated     int
-	round         uint64
+// policy is EDFSA's own session state on top of the framed core; a plain
+// value, so checkpoints copy it whole.
+type policy struct {
+	estimated int
+	round     uint64
 
 	// Current-round state, meaningful while inRound.
 	inRound                             bool
@@ -110,31 +104,15 @@ type session struct {
 	g                                   int
 	roundCollisions, roundTransmissions int
 
-	// Current group-frame state, meaningful while inFrame.
-	inFrame                   bool
-	slotJ                     int
-	collisions, transmissions int
-	occ                       [][]tagid.ID
-	read                      map[tagid.ID]struct{}
-
-	err error
+	collisions int // in the current group-frame
 }
 
 var _ protocol.Session = (*session)(nil)
 
 // Begin implements protocol.SessionProtocol.
 func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
-	s := &session{
-		p:      p,
-		env:    env,
-		m:      protocol.Metrics{Tags: len(env.Tags)},
-		unread: make([]tagid.ID, len(env.Tags)),
-		seen:   make(map[tagid.ID]struct{}, len(env.Tags)),
-		budget: env.SlotBudget(),
-	}
-	env.Clock = &s.clock
-	env.TraceRunStart(p.Name())
-	copy(s.unread, env.Tags)
+	s := &session{p: p}
+	s.Open(p.Name(), env)
 	s.estimated = p.cfg.InitialEstimate
 	if s.estimated <= 0 {
 		s.estimated = len(env.Tags)
@@ -145,114 +123,49 @@ func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
 	return s
 }
 
-// Protocol implements protocol.Session.
-func (s *session) Protocol() string { return s.p.Name() }
-
 // Step implements protocol.Session. A done session keeps stepping: empty
 // rounds at the smallest table frame keep polling the field, so newly
 // admitted tags are observed in the next round.
 func (s *session) Step() (bool, error) {
-	if s.err != nil {
-		return false, s.err
+	if s.Err != nil {
+		return false, s.Err
 	}
-	if !s.inFrame {
+	if !s.InFrame {
 		if !s.inRound {
 			s.frame, s.groups = frameSizeFor(s.estimated)
 			s.g = 0
 			s.roundCollisions, s.roundTransmissions = 0, 0
 			s.inRound = true
 		}
-		if s.slots >= s.budget {
-			s.err = protocol.ErrNoProgress
-			return false, s.err
+		occ, err := s.StartFrame(s.frame, 1/float64(s.groups))
+		if err != nil {
+			return false, err
 		}
-		members := groupMembers(s.membersBuf[:0], s.unread, s.round, s.groups, s.g)
+		members := groupMembers(s.membersBuf[:0], s.Unread(), s.round, s.groups, s.g)
 		if s.groups > 1 {
 			s.membersBuf = members
 		}
-		s.clock.Add(s.env.Timing.FrameAnnouncement())
-		s.m.Frames++
-		s.env.TraceFrame(obsev.FrameEvent{
-			Seq: s.slots, Frame: s.m.Frames, Size: s.frame, P: 1 / float64(s.groups),
-		})
-		s.occ = s.scratch.Buckets(s.frame)
 		for _, id := range members {
-			j := s.env.RNG.Intn(s.frame)
-			s.occ[j] = append(s.occ[j], id)
+			j := s.Env.RNG.Intn(s.frame)
+			occ[j] = append(occ[j], id)
 		}
-		s.read = s.scratch.Read()
-		s.slotJ, s.collisions, s.transmissions = 0, 0, 0
-		s.inFrame = true
+		s.collisions = 0
 	}
 
-	tx := s.occ[s.slotJ]
-	s.transmissions += len(tx)
-	obs := s.env.Channel.Observe(tx)
-	switch obs.Kind {
-	case channel.Empty:
-		s.m.EmptySlots++
-	case channel.Singleton:
-		s.m.SingletonSlots++
-		if _, dup := s.seen[obs.ID]; !dup {
-			s.seen[obs.ID] = struct{}{}
-			s.m.DirectIDs++
-			s.env.NotifyIdentified(obs.ID, false)
-		}
-		delivered := s.env.AckDelivered()
-		s.env.TraceAck(obsev.AckEvent{
-			Seq: s.m.TotalSlots() - 1, ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
-		if delivered {
-			s.read[obs.ID] = struct{}{}
-		}
-	case channel.Collision:
-		s.m.CollisionSlots++
+	// A captured slot is read like a singleton but still counts as a
+	// collision for the estimator.
+	tx, obs := s.Observe()
+	if s.ReadSlot(obs) {
 		s.collisions++
-	case channel.Captured:
-		// Capture effect: the collision still counts for Vogt's estimator,
-		// but the captured ID is read and acknowledged like a singleton.
-		s.m.CollisionSlots++
-		s.collisions++
-		if _, dup := s.seen[obs.ID]; !dup {
-			s.seen[obs.ID] = struct{}{}
-			s.m.DirectIDs++
-			s.env.NotifyIdentified(obs.ID, false)
-		}
-		delivered := s.env.AckDelivered()
-		s.env.TraceAck(obsev.AckEvent{
-			Seq: s.m.TotalSlots() - 1, ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
-		if delivered {
-			s.read[obs.ID] = struct{}{}
-		}
 	}
-	s.m.TagTransmissions += len(tx)
-	s.env.NotifySlot(protocol.SlotEvent{
-		Seq:          s.m.TotalSlots() - 1,
-		Kind:         obs.Kind,
-		Transmitters: len(tx),
-		Identified:   s.m.Identified(),
-	})
-	s.slotJ++
-	s.slots++
-	s.clock.Add(s.env.Timing.Slot())
-	if s.slotJ < s.frame {
+	if !s.EndSlot(obs.Kind, len(tx)) {
 		return false, nil
 	}
 
 	// Group-frame end: silence the tags read this frame.
-	s.inFrame = false
 	s.roundCollisions += s.collisions
-	s.roundTransmissions += s.transmissions
-	if len(s.read) > 0 {
-		remaining := s.unread[:0]
-		for _, id := range s.unread {
-			if _, ok := s.read[id]; !ok {
-				remaining = append(remaining, id)
-			}
-		}
-		s.unread = remaining
-	}
+	s.roundTransmissions += s.Transmissions
+	s.Silence()
 	s.g++
 	if s.g < s.groups {
 		return false, nil
@@ -268,196 +181,23 @@ func (s *session) Step() (bool, error) {
 	if s.estimated < 1 {
 		s.estimated = 1
 	}
-	s.env.TraceEstimate(obsev.EstimateEvent{
-		Frame: s.m.Frames, Estimate: float64(s.estimated), Identified: s.m.Identified(),
+	s.Env.TraceEstimate(obsev.EstimateEvent{
+		Frame: s.M.Frames, Estimate: float64(s.estimated), Identified: s.M.Identified(),
 	})
 	return false, nil
 }
 
-// Admit implements protocol.Session: the tags join the unread backlog and
-// first transmit in the next group-frame whose modulo group they hash into.
-func (s *session) Admit(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.seen[id]; identified {
-			continue
-		}
-		if containsID(s.unread, id) {
-			continue
-		}
-		s.unread = append(s.unread, id)
-		s.m.Tags++
-	}
-}
-
-// Revoke implements protocol.Session: the tags leave the backlog and stop
-// transmitting immediately — they are stripped from the current frame's
-// remaining slot buckets.
-func (s *session) Revoke(ids []tagid.ID) {
-	for _, id := range ids {
-		if !removeID(&s.unread, id) {
-			continue
-		}
-		if s.inFrame {
-			for j := s.slotJ; j < s.frame; j++ {
-				bucket := s.occ[j]
-				if removeID(&bucket, id) {
-					s.occ[j] = bucket
-					break
-				}
-			}
-		}
-	}
-}
-
-// containsID reports whether ids contains id.
-func containsID(ids []tagid.ID, id tagid.ID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// removeID deletes id from *ids preserving order; it reports whether the
-// id was present.
-func removeID(ids *[]tagid.ID, id tagid.ID) bool {
-	for i, v := range *ids {
-		if v == id {
-			*ids = append((*ids)[:i], (*ids)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Metrics implements protocol.Session.
-func (s *session) Metrics() protocol.Metrics {
-	m := s.m
-	m.OnAir = s.clock.Elapsed()
-	return m
-}
-
-// Elapsed implements protocol.Session.
-func (s *session) Elapsed() time.Duration { return s.clock.Elapsed() }
-
-// Outstanding implements protocol.Session.
-func (s *session) Outstanding() int { return len(s.unread) }
-
-// checkpoint is a deep copy of an EDFSA session's state.
-type checkpoint struct {
-	name   string
-	m      protocol.Metrics
-	clock  air.Clock
-	unread []tagid.ID
-	seen   map[tagid.ID]struct{}
-
-	slots, budget int
-	estimated     int
-	round         uint64
-
-	inRound                             bool
-	frame, groups                       int
-	g                                   int
-	roundCollisions, roundTransmissions int
-
-	inFrame                   bool
-	slotJ                     int
-	collisions, transmissions int
-	occ                       [][]tagid.ID
-	read                      map[tagid.ID]struct{}
-
-	err error
-
-	rng       rng.Source
-	chanState any
-}
-
-// Protocol implements protocol.Checkpoint.
-func (c *checkpoint) Protocol() string { return c.name }
-
 // Snapshot implements protocol.Session.
 func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	cp := &checkpoint{
-		name:               s.p.Name(),
-		m:                  s.m,
-		clock:              s.clock,
-		unread:             append([]tagid.ID(nil), s.unread...),
-		seen:               maps.Clone(s.seen),
-		slots:              s.slots,
-		budget:             s.budget,
-		estimated:          s.estimated,
-		round:              s.round,
-		inRound:            s.inRound,
-		frame:              s.frame,
-		groups:             s.groups,
-		g:                  s.g,
-		roundCollisions:    s.roundCollisions,
-		roundTransmissions: s.roundTransmissions,
-		inFrame:            s.inFrame,
-		slotJ:              s.slotJ,
-		collisions:         s.collisions,
-		transmissions:      s.transmissions,
-		err:                s.err,
-		rng:                *s.env.RNG,
-	}
-	if s.inFrame {
-		cp.occ = cloneBuckets(s.occ)
-		cp.read = maps.Clone(s.read)
-	}
-	if st, ok := s.env.Channel.(channel.Stateful); ok {
-		cp.chanState = st.SnapshotState()
-	}
-	return cp, nil
+	return s.SnapshotWith(s.policy), nil
 }
 
 // Restore implements protocol.Session.
 func (s *session) Restore(c protocol.Checkpoint) error {
-	cp, ok := c.(*checkpoint)
-	if !ok || cp.name != s.p.Name() {
-		return protocol.ErrCheckpointMismatch
-	}
-	s.m = cp.m
-	s.clock = cp.clock
-	s.unread = append(s.unread[:0:0], cp.unread...)
-	s.seen = maps.Clone(cp.seen)
-	s.slots = cp.slots
-	s.budget = cp.budget
-	s.estimated = cp.estimated
-	s.round = cp.round
-	s.inRound = cp.inRound
-	s.frame = cp.frame
-	s.groups = cp.groups
-	s.g = cp.g
-	s.roundCollisions = cp.roundCollisions
-	s.roundTransmissions = cp.roundTransmissions
-	s.inFrame = cp.inFrame
-	s.slotJ = cp.slotJ
-	s.collisions = cp.collisions
-	s.transmissions = cp.transmissions
-	s.occ = nil
-	s.read = nil
-	if cp.inFrame {
-		s.occ = cloneBuckets(cp.occ)
-		s.read = maps.Clone(cp.read)
-	}
-	s.err = cp.err
-	*s.env.RNG = cp.rng
-	if cp.chanState != nil {
-		s.env.Channel.(channel.Stateful).RestoreState(cp.chanState)
-	}
-	return nil
-}
-
-// cloneBuckets deep-copies a frame's slot-occupancy buckets.
-func cloneBuckets(occ [][]tagid.ID) [][]tagid.ID {
-	out := make([][]tagid.ID, len(occ))
-	for i, b := range occ {
-		if len(b) > 0 {
-			out[i] = append([]tagid.ID(nil), b...)
-		}
-	}
-	return out
+	return s.RestoreWith(c, func(x any) error {
+		s.policy = x.(policy)
+		return nil
+	})
 }
 
 // groupMembers selects the unread tags whose hash (salted by the round so

@@ -75,8 +75,8 @@ type Env struct {
 	// acknowledgement gets through, and the reader discards the duplicate
 	// reads — the retransmit-until-confirmed behaviour of Section IV-E.
 	// Supported by the ALOHA-family protocols (SCAT, FCAT, DFSA, EDFSA,
-	// CRDSA); the tree protocols use a different feedback structure and
-	// ignore it.
+	// MDFSA, PRALOHA, CRDSA); the tree protocols use a different feedback
+	// structure and ignore it.
 	PAckLoss float64
 	// Faults, when non-nil, is the run's deterministic fault injector (see
 	// internal/fault). It layers additional acknowledgement loss on top of
@@ -96,9 +96,10 @@ type Env struct {
 	Stream bool
 	// Scratch, when non-nil, is a container of protocol-owned reusable
 	// state. The campaign runner threads one container per worker through
-	// that worker's runs; protocols that support arena reuse (FCAT, SCAT)
-	// stash their session-sized structures here in Begin and reinitialise
-	// them in place on the next run instead of reallocating. Nil — e.g. a
+	// that worker's runs; protocols that support arena reuse (FCAT, SCAT,
+	// MDFSA, PRALOHA) stash their session-sized structures here in Begin
+	// and reinitialise them in place on the next run instead of
+	// reallocating. Nil — e.g. a
 	// standalone RunOnce — allocates fresh structures; reuse never changes
 	// a run's draws or decisions.
 	Scratch *Scratch

@@ -42,7 +42,7 @@ type Session interface {
 
 	// Step advances the session by one unit of air activity — one report
 	// segment for the slot-stepped protocols (SCAT, FCAT, DFSA, EDFSA,
-	// CRDSA), one query for the tree protocols (ABS, AQS). It returns done
+	// MDFSA, PRALOHA, CRDSA), one query for the tree protocols (ABS, AQS). It returns done
 	// when the protocol's batch termination condition holds (every tag
 	// identified as far as the reader can tell), and a non-nil error when
 	// the run fails (ErrNoProgress on slot-budget exhaustion). Stepping a
@@ -86,7 +86,7 @@ type Session interface {
 }
 
 // SessionProtocol is a Protocol whose execution can be driven stepwise.
-// All seven protocols in this module implement it.
+// All nine protocols in this module implement it.
 type SessionProtocol interface {
 	Protocol
 	// Begin opens a session over env. It emits the run-start trace event

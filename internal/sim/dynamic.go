@@ -5,14 +5,19 @@
 package sim
 
 import (
-	"sync"
+	"errors"
 
-	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
 	"github.com/ancrfid/ancrfid/internal/stats"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 	"github.com/ancrfid/ancrfid/internal/workload"
 )
+
+// ErrDynamicFaults is returned by RunDynamic and RunDynamicOnce when
+// Config.Faults enables fault injection. The workload driver runs no fault
+// channel, so the faults would be silently dropped; RunChaos is the
+// fault-injected dynamic path.
+var ErrDynamicFaults = errors.New("sim: dynamic runs do not inject faults; use RunChaos")
 
 // DynamicConfig describes a dynamic-population campaign: the campaign
 // knobs of Config plus a workload schedule. Config.Tags is the initial
@@ -59,21 +64,19 @@ type DynamicResult struct {
 // still contributes its partial report to the error return's context —
 // but the campaign result is withheld, exactly like Run.
 func RunDynamic(p protocol.SessionProtocol, cfg DynamicConfig) (DynamicResult, error) {
+	if cfg.Faults.Enabled() {
+		return DynamicResult{}, ErrDynamicFaults
+	}
 	cfg.Config = cfg.Config.withDefaults()
-	if cfg.Workers > 1 && cfg.Runs > 1 {
-		return runDynamicParallel(p, cfg)
+	runs, err := campaign(p, cfg.Config, func(run int, c Config, _ *runScratch) (workload.Report, error) {
+		dc := cfg
+		dc.Config = c
+		return RunDynamicOnce(p, dc, run)
+	}, func(rep *workload.Report) protocol.Metrics { return rep.Metrics })
+	if err != nil {
+		return DynamicResult{}, err
 	}
-	res := DynamicResult{Protocol: p.Name(), Runs: make([]workload.Report, 0, cfg.Runs)}
-	for i := 0; i < cfg.Runs; i++ {
-		rep, err := RunDynamicOnce(p, cfg, i)
-		if cfg.Progress != nil {
-			cfg.Progress(i, rep.Metrics, err)
-		}
-		if err != nil {
-			return DynamicResult{}, runError(p, cfg.Config, i, err)
-		}
-		res.Runs = append(res.Runs, rep)
-	}
+	res := DynamicResult{Protocol: p.Name(), Runs: runs}
 	res.summarize()
 	return res, nil
 }
@@ -83,6 +86,9 @@ func RunDynamic(p protocol.SessionProtocol, cfg DynamicConfig) (DynamicResult, e
 // run generator exactly as a batch run would, and the workload schedule
 // draws from a Split-off child stream.
 func RunDynamicOnce(p protocol.SessionProtocol, cfg DynamicConfig, run int) (workload.Report, error) {
+	if cfg.Faults.Enabled() {
+		return workload.Report{}, ErrDynamicFaults
+	}
 	cfg.Config = cfg.Config.withDefaults()
 	r := runRNG(cfg.Seed, run)
 	tags := tagid.Population(r, cfg.Tags)
@@ -99,104 +105,6 @@ func RunDynamicOnce(p protocol.SessionProtocol, cfg DynamicConfig, run int) (wor
 		Tracer:   cfg.tracer(),
 	}
 	return workload.Run(p, env, wl, cfg.Workload)
-}
-
-// runDynamicParallel mirrors runParallel for workload reports; see that
-// function for the determinism argument.
-func runDynamicParallel(p protocol.SessionProtocol, cfg DynamicConfig) (DynamicResult, error) {
-	workers := cfg.Workers
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-
-	type outcome struct {
-		rep workload.Report
-		err error
-		buf *obs.Buffer
-	}
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		outcomes = make([]*outcome, cfg.Runs)
-		next     int
-		inflight int
-		failed   bool
-		wg       sync.WaitGroup
-	)
-
-	worker := func() {
-		defer wg.Done()
-		for {
-			mu.Lock()
-			if failed || next >= cfg.Runs {
-				mu.Unlock()
-				return
-			}
-			i := next
-			next++
-			inflight++
-			mu.Unlock()
-
-			runCfg := cfg
-			runCfg.Tracer = nil
-			var buf *obs.Buffer
-			if cfg.Tracer != nil {
-				buf = &obs.Buffer{}
-				runCfg.Tracer = buf
-			}
-			rep, err := RunDynamicOnce(p, runCfg, i)
-
-			mu.Lock()
-			outcomes[i] = &outcome{rep: rep, err: err, buf: buf}
-			inflight--
-			if err != nil {
-				failed = true
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(i, rep.Metrics, err)
-			}
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go worker()
-	}
-
-	res := DynamicResult{Protocol: p.Name(), Runs: make([]workload.Report, 0, cfg.Runs)}
-	var firstErr error
-	mu.Lock()
-merge:
-	for i := 0; i < cfg.Runs; i++ {
-		for outcomes[i] == nil {
-			if failed && i >= next && inflight == 0 {
-				break merge
-			}
-			cond.Wait()
-		}
-		o := outcomes[i]
-		outcomes[i] = nil
-		mu.Unlock()
-		if o.buf != nil {
-			o.buf.Replay(cfg.Tracer)
-		}
-		if o.err != nil {
-			firstErr = runError(p, cfg.Config, i, o.err)
-			mu.Lock()
-			break
-		}
-		res.Runs = append(res.Runs, o.rep)
-		mu.Lock()
-	}
-	mu.Unlock()
-	wg.Wait()
-
-	if firstErr != nil {
-		return DynamicResult{}, firstErr
-	}
-	res.summarize()
-	return res, nil
 }
 
 func (r *DynamicResult) summarize() {

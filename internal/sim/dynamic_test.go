@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ancrfid/ancrfid/internal/fault"
 	"github.com/ancrfid/ancrfid/internal/fcat"
 	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
@@ -79,5 +80,23 @@ func TestRunDynamicOncePartialReport(t *testing.T) {
 	}
 	if rep.Admitted == 0 {
 		t.Fatal("partial report lost the admitted population")
+	}
+}
+
+// TestRunDynamicRejectsFaults checks that a dynamic campaign configured
+// with fault injection fails loudly instead of running fault-free.
+func TestRunDynamicRejectsFaults(t *testing.T) {
+	p := fcat.New(fcat.Config{Lambda: 2})
+	cfg := dynamicConfig(1)
+	cfg.Faults = fault.Config{AckLoss: 0.5, MuteProb: 0.3}
+	if _, err := RunDynamic(p, cfg); !errors.Is(err, ErrDynamicFaults) {
+		t.Fatalf("RunDynamic: want ErrDynamicFaults, got %v", err)
+	}
+	if _, err := RunDynamicOnce(p, cfg, 0); !errors.Is(err, ErrDynamicFaults) {
+		t.Fatalf("RunDynamicOnce: want ErrDynamicFaults, got %v", err)
+	}
+	cfg.Workers = 4
+	if _, err := RunDynamic(p, cfg); !errors.Is(err, ErrDynamicFaults) {
+		t.Fatalf("RunDynamic with workers: want ErrDynamicFaults, got %v", err)
 	}
 }

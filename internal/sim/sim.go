@@ -132,40 +132,36 @@ type Result struct {
 // callers never see a half-populated summary.
 func Run(p protocol.Protocol, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Workers > 1 && cfg.Runs > 1 {
-		return runParallel(p, cfg)
+	runs, err := campaign(p, cfg, func(run int, c Config, sc *runScratch) (protocol.Metrics, error) {
+		return runOnce(p, c, run, sc)
+	}, func(m *protocol.Metrics) protocol.Metrics { return *m })
+	if err != nil {
+		return Result{}, err
 	}
-	res := Result{Protocol: p.Name(), Tags: cfg.Tags, Runs: make([]protocol.Metrics, 0, cfg.Runs)}
-
-	var sc runScratch
-	for i := 0; i < cfg.Runs; i++ {
-		m, err := runOnce(p, cfg, i, &sc)
-		if cfg.Progress != nil {
-			cfg.Progress(i, m, err)
-		}
-		if err != nil {
-			return Result{}, runError(p, cfg, i, err)
-		}
-		res.Runs = append(res.Runs, m)
-	}
+	res := Result{Protocol: p.Name(), Tags: cfg.Tags, Runs: runs}
 	res.summarize()
 	return res, nil
 }
 
-// runError wraps a run's error with its campaign context, identically for
-// the sequential and parallel paths.
+// runError wraps a run's error with its campaign context.
 func runError(p protocol.Protocol, cfg Config, run int, err error) error {
 	return fmt.Errorf("%s run %d (N=%d): %w", p.Name(), run, cfg.Tags, err)
 }
 
-// runParallel executes the campaign's runs across min(Workers, Runs)
-// goroutines and merges the outcomes deterministically:
+// campaign is the one campaign runner behind Run, RunDynamic, RunChaos and
+// RunFleet. It executes once for runs 0..cfg.Runs-1 and returns their
+// outcomes in run order; metrics extracts the per-run Metrics handed to
+// cfg.Progress. once receives the campaign config with the Tracer it must
+// use for that run, and a scratch reused across the runs of one worker.
+//
+// With cfg.Workers <= 1 (or a single run) the runs execute in order on the
+// calling goroutine. Otherwise they run across min(Workers, Runs)
+// goroutines and merge deterministically:
 //
 //   - Workers claim run indices from an ascending dispatch cursor, so
 //     whenever run i executes, every run j < i has been dispatched too.
-//   - Each run's metrics land in the slot its index names; summaries are
-//     computed from the index-ordered slice exactly as the sequential path
-//     does.
+//   - Each outcome lands in the slot its index names, and the result is
+//     the index-ordered prefix, exactly as the sequential path builds it.
 //   - cfg.Metrics is fed live through per-run MetricsTracers — its atomic
 //     counters commute, so the final dump is order-independent.
 //   - cfg.Tracer is never called concurrently: each run records its events
@@ -176,15 +172,30 @@ func runError(p protocol.Protocol, cfg Config, run int, err error) error {
 //     completion order, not run order.
 //   - The first error (always the lowest failing index, because dispatch
 //     is ascending and lower runs are deterministic) cancels dispatch of
-//     the remaining runs; in-flight runs drain before Run returns.
-func runParallel(p protocol.Protocol, cfg Config) (Result, error) {
-	workers := cfg.Workers
-	if workers > cfg.Runs {
-		workers = cfg.Runs
+//     the remaining runs; in-flight runs drain before campaign returns.
+//
+// On error it returns the lowest failing run's error, wrapped by runError,
+// and no outcomes.
+func campaign[R any](p protocol.Protocol, cfg Config, once func(run int, c Config, sc *runScratch) (R, error), metrics func(*R) protocol.Metrics) ([]R, error) {
+	out := make([]R, 0, cfg.Runs)
+	if cfg.Workers <= 1 || cfg.Runs <= 1 {
+		var sc runScratch
+		for i := 0; i < cfg.Runs; i++ {
+			r, err := once(i, cfg, &sc)
+			if cfg.Progress != nil {
+				cfg.Progress(i, metrics(&r), err)
+			}
+			if err != nil {
+				return nil, runError(p, cfg, i, err)
+			}
+			out = append(out, r)
+		}
+		return out, nil
 	}
+	workers := min(cfg.Workers, cfg.Runs)
 
 	type outcome struct {
-		m   protocol.Metrics
+		r   R
 		err error
 		buf *obs.Buffer
 	}
@@ -219,16 +230,16 @@ func runParallel(p protocol.Protocol, cfg Config) (Result, error) {
 				buf = &obs.Buffer{}
 				runCfg.Tracer = buf
 			}
-			m, err := runOnce(p, runCfg, i, &sc)
+			r, err := once(i, runCfg, &sc)
 
 			mu.Lock()
-			outcomes[i] = &outcome{m: m, err: err, buf: buf}
+			outcomes[i] = &outcome{r: r, err: err, buf: buf}
 			inflight--
 			if err != nil {
 				failed = true
 			}
 			if cfg.Progress != nil {
-				cfg.Progress(i, m, err)
+				cfg.Progress(i, metrics(&r), err)
 			}
 			cond.Broadcast()
 			mu.Unlock()
@@ -239,7 +250,6 @@ func runParallel(p protocol.Protocol, cfg Config) (Result, error) {
 		go worker()
 	}
 
-	res := Result{Protocol: p.Name(), Tags: cfg.Tags, Runs: make([]protocol.Metrics, 0, cfg.Runs)}
 	var firstErr error
 	mu.Lock()
 merge:
@@ -262,17 +272,16 @@ merge:
 			mu.Lock()
 			break
 		}
-		res.Runs = append(res.Runs, o.m)
+		out = append(out, o.r)
 		mu.Lock()
 	}
 	mu.Unlock()
 	wg.Wait()
 
 	if firstErr != nil {
-		return Result{}, firstErr
+		return nil, firstErr
 	}
-	res.summarize()
-	return res, nil
+	return out, nil
 }
 
 // runScratch holds the arenas one campaign worker recycles across its

@@ -5,7 +5,9 @@
 package ancrfid_test
 
 import (
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,6 +138,42 @@ func BenchmarkExposition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ancrfid.WritePrometheus(io.Discard, reg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAdmitLarge admits a batch of fresh tags into a framed-protocol
+// session over an empty field, then revokes the whole batch in one call —
+// the path a session-server client drives with a large admit. The backlog
+// keeps a membership index, so both calls are linear in the batch: the
+// n=100000 case should cost about 10x the n=10000 one, not 100x.
+func BenchmarkAdmitLarge(b *testing.B) {
+	for _, name := range []string{"DFSA", "EDFSA", "CRDSA", "MDFSA-2", "PRALOHA-2"} {
+		p, err := ancrfid.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sp, _ := ancrfid.AsSession(p)
+		for _, n := range []int{10_000, 100_000} {
+			ids := ancrfid.Population(ancrfid.NewRNG(uint64(n)), n)
+			// Sub-benchmark names avoid "-<digits>", which benchgate would
+			// read as a GOMAXPROCS suffix.
+			b.Run(fmt.Sprintf("%s/n=%d", strings.TrimSuffix(name, "-2"), n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r := ancrfid.NewRNG(1)
+					s := sp.Begin(&ancrfid.Env{
+						RNG:     r,
+						Channel: ancrfid.NewAbstractChannel(ancrfid.AbstractChannelConfig{Lambda: 2}, r),
+						Timing:  ancrfid.ICodeTiming(),
+					})
+					s.Admit(ids)
+					s.Revoke(ids)
+					if s.Outstanding() != 0 {
+						b.Fatalf("%d tags outstanding after revoking the batch", s.Outstanding())
+					}
+				}
+			})
 		}
 	}
 }
