@@ -209,6 +209,22 @@ func run(args []string) error {
 		// is the fault-injected dynamic run.
 		return fmt.Errorf("-fault-* flags with -arrival-rate, -departure-rate or -duration need -chaos")
 	}
+	if *sweepSeverity > 0 {
+		// The sweep attaches its own per-point health monitors and no
+		// campaign observers, so these outputs would silently stay empty.
+		var ignored []string
+		outputs := [][2]string{
+			{"-trace", *tracePath}, {"-timeline", *timeline}, {"-spans", *spansPath}, {"-metrics", *metrics},
+		}
+		for _, o := range outputs {
+			if o[1] != "" {
+				ignored = append(ignored, o[0])
+			}
+		}
+		if len(ignored) > 0 {
+			return fmt.Errorf("-sweep-severity writes no observer outputs; drop %s", strings.Join(ignored, ", "))
+		}
+	}
 
 	var (
 		tracers     []ancrfid.Tracer

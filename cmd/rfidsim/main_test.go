@@ -336,6 +336,53 @@ func TestRunChaosNoProgressPartial(t *testing.T) {
 	}
 }
 
+// TestRunSeveritySweepRejectsObserverOutputs checks that observer outputs
+// the severity sweep would leave empty are refused, naming the flags, and
+// that no output file is created.
+func TestRunSeveritySweepRejectsObserverOutputs(t *testing.T) {
+	dir := t.TempDir()
+	sweep := []string{"-tags", "100", "-runs", "1", "-sweep-severity", "2"}
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		flags []string
+	}{
+		{"trace", []string{"-trace", "t.jsonl"}, []string{"-trace"}},
+		{"timeline", []string{"-timeline", "t.txt"}, []string{"-timeline"}},
+		{"spans", []string{"-spans", "s.json"}, []string{"-spans"}},
+		{"metrics", []string{"-metrics", "m.txt"}, []string{"-metrics"}},
+		{"trace+timeline", []string{"-trace", "t.jsonl", "-timeline", "t.txt"}, []string{"-trace", "-timeline"}},
+		{"all", []string{"-metrics", "-", "-spans", "s.json", "-timeline", "-", "-trace", "t.jsonl"},
+			[]string{"-trace", "-timeline", "-spans", "-metrics"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			extra := append([]string(nil), tc.extra...)
+			for i := 1; i < len(extra); i += 2 {
+				if extra[i] != "-" {
+					extra[i] = filepath.Join(dir, tc.name+"-"+extra[i])
+				}
+			}
+			err := run(append(append([]string(nil), sweep...), extra...))
+			if err == nil {
+				t.Fatal("want an error, got nil")
+			}
+			for _, f := range tc.flags {
+				if !strings.Contains(err.Error(), f) {
+					t.Errorf("error %q does not name %s", err, f)
+				}
+			}
+			for i := 1; i < len(extra); i += 2 {
+				if extra[i] == "-" {
+					continue
+				}
+				if _, serr := os.Stat(extra[i]); !os.IsNotExist(serr) {
+					t.Errorf("%s was created (stat: %v)", extra[i], serr)
+				}
+			}
+		})
+	}
+}
+
 func TestRunSeveritySweep(t *testing.T) {
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-sweep-severity", "2", "-tags", "200", "-runs", "2", "-seed", "7"})
