@@ -117,39 +117,45 @@ type (
 type (
 	// Tracer receives the typed event stream of a protocol run.
 	Tracer = obs.Tracer
-	// TracerHooks is a Tracer assembled from optional per-event funcs.
-	TracerHooks = obs.Hooks
+	// TracerFunc adapts a plain func(TraceEvent) into a Tracer.
+	TracerFunc = obs.Func
+	// TraceEvent is one entry of the event stream: a kind, a simulated-time
+	// stamp and a small fixed payload (see obs.EventKind for the fields
+	// each kind sets).
+	TraceEvent = obs.Event
+	// TraceEventKind names the kind of a TraceEvent.
+	TraceEventKind = obs.EventKind
 	// Registry is a concurrency-safe metrics registry of counters and
 	// histograms.
 	Registry = obs.Registry
 
-	// TraceRunStartEvent opens a run.
-	TraceRunStartEvent = obs.RunStartEvent
-	// TraceRunEndEvent closes a run with its totals.
-	TraceRunEndEvent = obs.RunEndEvent
-	// TraceFrameEvent marks a frame boundary (framed protocols).
-	TraceFrameEvent = obs.FrameEvent
-	// TraceAdvertEvent reports a per-slot advertisement (SCAT).
-	TraceAdvertEvent = obs.AdvertEvent
-	// TraceSlotEvent reports one completed report segment.
-	TraceSlotEvent = obs.SlotEvent
-	// TraceIdentifyEvent reports a first-time tag identification.
-	TraceIdentifyEvent = obs.IdentifyEvent
-	// TraceAckEvent reports an acknowledgement and whether it reached the tag.
-	TraceAckEvent = obs.AckEvent
-	// TraceRecordEvent reports a collision record being stored.
-	TraceRecordEvent = obs.RecordEvent
-	// TraceCascadeEvent reports one step of a resolution cascade.
-	TraceCascadeEvent = obs.CascadeEvent
-	// TraceResolveEvent reports an ID recovered from a collision record.
-	TraceResolveEvent = obs.ResolveEvent
-	// TraceEstimateEvent reports a population-estimate update.
-	TraceEstimateEvent = obs.EstimateEvent
 	// AckKind distinguishes direct, resolved-index and resolved-ID acks.
 	AckKind = obs.AckKind
 )
 
-// Acknowledgement kinds carried by TraceAckEvent.
+// Event kinds of the trace stream, in the order a run can emit them.
+const (
+	TraceRunStart          = obs.RunStart
+	TraceRunEnd            = obs.RunEnd
+	TraceFrameStart        = obs.FrameStart
+	TraceAdvertisement     = obs.Advertisement
+	TraceSlotDone          = obs.SlotDone
+	TraceTagIdentified     = obs.TagIdentified
+	TraceAckSent           = obs.AckSent
+	TraceRecordCreated     = obs.RecordCreated
+	TraceCascadeStep       = obs.CascadeStep
+	TraceRecordResolved    = obs.RecordResolved
+	TraceEstimatorUpdate   = obs.EstimatorUpdate
+	TraceTagArrival        = obs.TagArrival
+	TraceTagDeparture      = obs.TagDeparture
+	TraceSessionCheckpoint = obs.SessionCheckpoint
+	TraceFaultInjected     = obs.FaultInjected
+	TraceRecordQuarantined = obs.RecordQuarantined
+	TraceReaderRestart     = obs.ReaderRestart
+	TraceFleetActivity     = obs.FleetActivity
+)
+
+// Acknowledgement kinds carried in the Sub field of a TraceAckSent event.
 const (
 	// AckDirect acknowledges a singleton-slot read.
 	AckDirect = obs.AckDirect
@@ -414,13 +420,6 @@ type (
 	DynamicSimConfig = sim.DynamicConfig
 	// DynamicSimResult aggregates a dynamic campaign.
 	DynamicSimResult = sim.DynamicResult
-
-	// TraceArrivalEvent reports a tag entering the field (dynamic runs).
-	TraceArrivalEvent = obs.ArrivalEvent
-	// TraceDepartureEvent reports a tag leaving the field (dynamic runs).
-	TraceDepartureEvent = obs.DepartureEvent
-	// TraceCheckpointEvent reports a session snapshot being taken.
-	TraceCheckpointEvent = obs.CheckpointEvent
 )
 
 // ErrCheckpointMismatch is returned by Session.Restore when the checkpoint
@@ -507,10 +506,6 @@ type (
 	FleetSimConfig = sim.FleetConfig
 	// FleetSimResult aggregates a fleet campaign.
 	FleetSimResult = sim.FleetResult
-
-	// TraceFleetEvent reports one fleet-scheduler event (blocked slot,
-	// interfered slot, zone migration).
-	TraceFleetEvent = obs.FleetEvent
 )
 
 // ErrFleetMigrationNeedsHorizon is returned when a migrating fleet has no
@@ -607,19 +602,12 @@ type (
 	// ChaosResult aggregates a chaos campaign.
 	ChaosResult = sim.ChaosResult
 
-	// FaultKind labels an injected fault in TraceFaultEvent.
+	// FaultKind labels an injected fault (the Sub field of a
+	// TraceFaultInjected event).
 	FaultKind = obs.FaultKind
-	// TraceFaultEvent reports one injected fault.
-	TraceFaultEvent = obs.FaultEvent
-	// TraceQuarantineEvent reports a poisoned collision record being
-	// quarantined by the record store's defenses.
-	TraceQuarantineEvent = obs.QuarantineEvent
-	// TraceRestartEvent reports a reader crash-restart resuming from a
-	// checkpoint.
-	TraceRestartEvent = obs.RestartEvent
 )
 
-// Fault kinds carried by TraceFaultEvent.
+// Fault kinds carried in the Sub field of a TraceFaultInjected event.
 const (
 	// FaultBurst marks a slot spoiled by Gilbert-Elliott burst noise.
 	FaultBurst = obs.FaultBurst

@@ -230,14 +230,14 @@ func BenchmarkCancellation(b *testing.B) {
 // BenchmarkTracerOverhead measures the cost of the observability layer on
 // the standard FCAT-2 campaign: "off" is the nil-tracer fast path (must be
 // indistinguishable from the pre-instrumentation baseline), "hooks" is an
-// empty Hooks tracer (the cost of event fan-out alone) and "metrics" folds
+// empty TracerFunc (the cost of event emission alone) and "metrics" folds
 // every event into a registry.
 func BenchmarkTracerOverhead(b *testing.B) {
 	base := ancrfid.SimConfig{Tags: 5000, Runs: 2, Seed: 1}
 	b.Run("off", func(b *testing.B) { benchProtocol(b, ancrfid.NewFCAT(2), base) })
 	b.Run("hooks", func(b *testing.B) {
 		cfg := base
-		cfg.Tracer = &ancrfid.TracerHooks{}
+		cfg.Tracer = ancrfid.TracerFunc(func(ancrfid.TraceEvent) {})
 		benchProtocol(b, ancrfid.NewFCAT(2), cfg)
 	})
 	b.Run("metrics", func(b *testing.B) {
@@ -259,10 +259,12 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 		env.NotifyIdentified(id, true)
 		env.TraceRunStart("FCAT-2")
 		env.TraceRunEnd("FCAT-2", ancrfid.Metrics{}, nil)
-		env.TraceFrame(ancrfid.TraceFrameEvent{Frame: 1, Size: 64})
-		env.TraceAdvert(ancrfid.TraceAdvertEvent{Seq: 1, P: 0.5})
-		env.TraceAck(ancrfid.TraceAckEvent{Seq: 1, ID: id, Kind: ancrfid.AckDirect, Delivered: true})
-		env.TraceEstimate(ancrfid.TraceEstimateEvent{Frame: 1, Estimate: 100})
+		env.EmitNow(ancrfid.TraceEvent{Kind: ancrfid.TraceFrameStart, N1: 1, N2: 64})
+		env.EmitNow(ancrfid.TraceEvent{Kind: ancrfid.TraceAdvertisement, Seq: 1, F1: 0.5})
+		env.EmitNow(ancrfid.TraceEvent{Kind: ancrfid.TraceAckSent, Seq: 1, ID: id,
+			Sub: uint8(ancrfid.AckDirect), Flag: true})
+		env.EmitNow(ancrfid.TraceEvent{Kind: ancrfid.TraceEstimatorUpdate, N1: 1, F1: 100})
+		env.Emit(ancrfid.TraceEvent{Kind: ancrfid.TraceTagArrival, ID: id, N1: 1})
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-tracer emission allocated %.1f times per run, want 0", allocs)

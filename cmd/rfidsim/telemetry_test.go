@@ -177,8 +177,8 @@ func TestTelemetryServer(t *testing.T) {
 
 	// Degrade the monitor past the healthy threshold and probe again.
 	for i := 0; i < 3; i++ {
-		health.RunStart(ancrfid.TraceRunStartEvent{})
-		health.RunEnd(ancrfid.TraceRunEndEvent{Err: "boom"})
+		health.Emit(ancrfid.TraceEvent{Kind: ancrfid.TraceRunStart})
+		health.Emit(ancrfid.TraceEvent{Kind: ancrfid.TraceRunEnd, Err: "boom"})
 	}
 	code, _, _ = get("/healthz")
 	if code != 503 {

@@ -61,11 +61,11 @@ func newRoundTelemetry() *roundTelemetry {
 // the change report diffs.
 func (rt *roundTelemetry) tracer() ancrfid.Tracer {
 	return ancrfid.MultiTracer(
-		&ancrfid.TracerHooks{
-			OnTagIdentified: func(ev ancrfid.TraceIdentifyEvent) {
+		ancrfid.TracerFunc(func(ev ancrfid.TraceEvent) {
+			if ev.Kind == ancrfid.TraceTagIdentified {
 				rt.ids[ev.ID] = struct{}{}
-			},
-		},
+			}
+		}),
 		rt.builder,
 		rt.health,
 	)

@@ -240,7 +240,7 @@ func (s *session) countResolved(seq int, id tagid.ID) {
 
 func (s *session) ack(seq int, id tagid.ID, kind obsev.AckKind) {
 	delivered := s.Env.AckDelivered()
-	s.Env.TraceAck(obsev.AckEvent{Seq: seq, ID: id, Kind: kind, Delivered: delivered})
+	s.Env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: seq, ID: id, Sub: uint8(kind), Flag: delivered})
 	if delivered {
 		s.Read[id] = struct{}{}
 	}

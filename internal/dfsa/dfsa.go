@@ -135,9 +135,8 @@ func (s *session) Step() (bool, error) {
 	}
 	// Schoute's estimate: each colliding slot hides ~2.39 tags.
 	s.frameSize = int(math.Round(SchouteFactor * float64(s.collisions)))
-	s.Env.TraceEstimate(obsev.EstimateEvent{
-		Frame: s.M.Frames, Estimate: float64(s.frameSize), Identified: s.M.Identified(),
-	})
+	s.Env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: s.M.Frames, F1: float64(s.frameSize),
+		N2: s.M.Identified()})
 	return false, nil
 }
 

@@ -181,9 +181,8 @@ func (s *session) Step() (bool, error) {
 	if s.estimated < 1 {
 		s.estimated = 1
 	}
-	s.Env.TraceEstimate(obsev.EstimateEvent{
-		Frame: s.M.Frames, Estimate: float64(s.estimated), Identified: s.M.Identified(),
-	})
+	s.Env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: s.M.Frames, F1: float64(s.estimated),
+		N2: s.M.Identified()})
 	return false, nil
 }
 

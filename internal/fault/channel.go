@@ -77,9 +77,9 @@ func (c *Channel) Revoke(id tagid.ID) {
 	}
 }
 
-func (c *Channel) emit(ev obs.FaultEvent) {
+func (c *Channel) emit(slot uint64, kind obs.FaultKind, id tagid.ID) {
 	if c.Tracer != nil {
-		c.Tracer.FaultInjected(ev)
+		c.Tracer.Emit(obs.Event{Kind: obs.FaultInjected, Seq: int(slot), Sub: uint8(kind), ID: id})
 	}
 }
 
@@ -95,7 +95,7 @@ func (c *Channel) Observe(transmitters []tagid.ID) channel.Observation {
 		c.txBuf = c.txBuf[:0]
 		for _, id := range transmitters {
 			if c.inj.cfg.MuteProb > 0 && c.inj.Muted(id) {
-				c.emit(obs.FaultEvent{Slot: slot, Kind: obs.FaultMute, ID: id})
+				c.emit(slot, obs.FaultMute, id)
 				continue
 			}
 			c.txBuf = append(c.txBuf, id)
@@ -112,7 +112,7 @@ func (c *Channel) Observe(transmitters []tagid.ID) channel.Observation {
 				}
 			}
 			c.txBuf = append(c.txBuf, id)
-			c.emit(obs.FaultEvent{Slot: slot, Kind: obs.FaultStuck, ID: id})
+			c.emit(slot, obs.FaultStuck, id)
 		}
 		tx = c.txBuf
 	}
@@ -122,34 +122,34 @@ func (c *Channel) Observe(transmitters []tagid.ID) channel.Observation {
 	switch ob.Kind {
 	case channel.Singleton:
 		if bad {
-			c.emit(obs.FaultEvent{Slot: slot, Kind: obs.FaultBurst, ID: ob.ID})
+			c.emit(slot, obs.FaultBurst, ob.ID)
 			return channel.Observation{Kind: channel.Collision, Mix: &poisonedMixed{id: ob.ID}}
 		}
 		if c.inj.CorruptSingleton(slot) {
-			c.emit(obs.FaultEvent{Slot: slot, Kind: obs.FaultCorruptSingleton, ID: ob.ID})
+			c.emit(slot, obs.FaultCorruptSingleton, ob.ID)
 			return channel.Observation{Kind: channel.Collision, Mix: &poisonedMixed{id: ob.ID}}
 		}
 	case channel.Collision:
 		if bad {
-			c.emit(obs.FaultEvent{Slot: slot, Kind: obs.FaultBurst})
+			c.emit(slot, obs.FaultBurst, tagid.ID{})
 			ob.Mix = &spoiledMixed{inner: ob.Mix}
 			return ob
 		}
 		if bit, ok := c.inj.CorruptDecodeBit(slot); ok {
-			c.emit(obs.FaultEvent{Slot: slot, Kind: obs.FaultCorruptDecode})
+			c.emit(slot, obs.FaultCorruptDecode, tagid.ID{})
 			ob.Mix = &corruptMixed{inner: ob.Mix, bit: bit}
 		}
 	case channel.Captured:
 		if bad {
 			// The burst buries the capture margin: the strong constituent is
 			// lost along with everyone else, and the recording is spoiled.
-			c.emit(obs.FaultEvent{Slot: slot, Kind: obs.FaultBurst})
+			c.emit(slot, obs.FaultBurst, tagid.ID{})
 			return channel.Observation{Kind: channel.Collision, Mix: &spoiledMixed{inner: ob.Mix}}
 		}
 		if bit, ok := c.inj.CorruptDecodeBit(slot); ok {
 			// The captured ID already decoded off the air; the corruption
 			// lands on the stored residual.
-			c.emit(obs.FaultEvent{Slot: slot, Kind: obs.FaultCorruptDecode})
+			c.emit(slot, obs.FaultCorruptDecode, tagid.ID{})
 			ob.Mix = &corruptMixed{inner: ob.Mix, bit: bit}
 		}
 	}

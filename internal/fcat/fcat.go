@@ -349,7 +349,8 @@ func (r *session) Step() (bool, error) {
 			}
 			r.frameP = p
 			r.clock.Add(r.env.Timing.FrameAdvertisement())
-			r.env.TraceFrame(obsev.FrameEvent{Seq: int(r.slot), Frame: r.m.Frames + 1, Size: r.cfg.FrameSize, P: p})
+			r.env.EmitNow(obsev.Event{Kind: obsev.FrameStart, Seq: int(r.slot), N1: r.m.Frames + 1,
+				N2: r.cfg.FrameSize, F1: p})
 			r.identifiedBefore = r.m.Identified()
 			r.nc, r.n0 = 0, 0
 			r.frameJ = 0
@@ -426,7 +427,8 @@ func (r *session) Step() (bool, error) {
 			}
 			r.frameP = p
 			r.clock.Add(r.env.Timing.FrameAdvertisement())
-			r.env.TraceFrame(obsev.FrameEvent{Seq: int(r.slot), Frame: r.m.Frames + 1, Size: r.cfg.FrameSize, P: p})
+			r.env.EmitNow(obsev.Event{Kind: obsev.FrameStart, Seq: int(r.slot), N1: r.m.Frames + 1,
+				N2: r.cfg.FrameSize, F1: p})
 			r.frameJ = 0
 			r.phase = phOracleFrame
 			continue
@@ -459,15 +461,14 @@ func (r *session) finishBootstrap(est float64) (bool, error) {
 			return true, nil
 		}
 		r.estimateN = est
-		r.env.TraceEstimate(obsev.EstimateEvent{Estimate: est})
+		r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: est})
 		r.phase = phFrameDecide
 		return false, nil
 	}
 	r.estimateN = float64(r.m.Identified()) + est
 	r.tracker = estimate.Tracker{}
-	r.env.TraceEstimate(obsev.EstimateEvent{
-		Frame: r.m.Frames, Estimate: r.estimateN, Identified: r.m.Identified(),
-	})
+	r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: r.m.Frames, F1: r.estimateN,
+		N2: r.m.Identified()})
 	r.phase = phFrameDecide
 	return false, nil
 }
@@ -486,9 +487,8 @@ func (r *session) updateEstimate() {
 			deficit = 1
 		}
 		r.estimateN = float64(r.m.Identified()) + 2*deficit + 1
-		r.env.TraceEstimate(obsev.EstimateEvent{
-			Frame: r.m.Frames, Estimate: r.estimateN, Identified: r.m.Identified(),
-		})
+		r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: r.m.Frames, F1: r.estimateN,
+			N2: r.m.Identified()})
 		r.phase = phFrameDecide
 		return
 	}
@@ -509,12 +509,8 @@ func (r *session) updateEstimate() {
 		r.tracker.Add(total)
 		r.estimateN, _ = r.tracker.Mean()
 	}
-	r.env.TraceEstimate(obsev.EstimateEvent{
-		Frame:      r.m.Frames,
-		Estimate:   r.estimateN,
-		FrameEst:   total,
-		Identified: r.m.Identified(),
-	})
+	r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: r.m.Frames, F1: r.estimateN,
+		F2: total, N2: r.m.Identified()})
 	r.phase = phFrameDecide
 }
 
@@ -693,7 +689,7 @@ func (r *session) estimateFrame(nc, n0, n1 int, p float64) (float64, bool) {
 // by bootstrap and termination probes, which change p for a single slot).
 func (r *session) doSlotAdvertised(p float64) (channel.Kind, error) {
 	r.clock.Add(r.env.Timing.SlotAdvertisement())
-	r.env.TraceAdvert(obsev.AdvertEvent{Seq: int(r.slot), P: p})
+	r.env.EmitNow(obsev.Event{Kind: obsev.Advertisement, Seq: int(r.slot), F1: p})
 	return r.doSlot(p)
 }
 
@@ -715,9 +711,8 @@ func (r *session) doSlot(p float64) (channel.Kind, error) {
 		r.m.SingletonSlots++
 		r.countDirect(obs.ID)
 		delivered := r.env.AckDelivered()
-		r.env.TraceAck(obsev.AckEvent{
-			Seq: int(slot), ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
+		r.env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: obs.ID,
+			Sub: uint8(obsev.AckDirect), Flag: delivered})
 		if delivered {
 			r.active.Remove(obs.ID)
 		}
@@ -741,9 +736,8 @@ func (r *session) doSlot(p float64) (channel.Kind, error) {
 		r.m.CollisionSlots++
 		r.countDirect(obs.ID)
 		delivered := r.env.AckDelivered()
-		r.env.TraceAck(obsev.AckEvent{
-			Seq: int(slot), ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
+		r.env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: obs.ID,
+			Sub: uint8(obsev.AckDirect), Flag: delivered})
 		if delivered {
 			r.active.Remove(obs.ID)
 		}
@@ -787,9 +781,8 @@ func (r *session) countResolved(res record.Resolved) {
 	}
 	r.clock.Add(r.env.Timing.ResolvedIndexAck())
 	delivered := r.env.AckDelivered()
-	r.env.TraceAck(obsev.AckEvent{
-		Seq: int(r.slot) - 1, ID: res.ID, Kind: obsev.AckResolvedIndex, Delivered: delivered,
-	})
+	r.env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(r.slot) - 1, ID: res.ID,
+		Sub: uint8(obsev.AckResolvedIndex), Flag: delivered})
 	if delivered {
 		r.active.Remove(res.ID)
 	}

@@ -624,7 +624,7 @@ func (f *fleetRun) depart(z *zoneState, ev event) {
 		rec.Departed = true
 		rec.DepartedAt = ev.at
 		if rd != nil && rd.env.Tracer != nil {
-			rd.env.TraceDeparture(obs.DepartureEvent{ID: ev.id, At: rd.env.Now(), Identified: rec.Identified})
+			rd.env.Emit(obs.Event{Kind: obs.TagDeparture, ID: ev.id, At: rd.env.Now(), Flag: rec.Identified})
 		}
 		return
 	}
@@ -653,7 +653,8 @@ func (f *fleetRun) arrive(z *zoneState, ev event) {
 			rd.fch.Admit(ev.id)
 		}
 		if rd.env.Tracer != nil {
-			rd.env.TraceArrival(obs.ArrivalEvent{ID: ev.id, At: rd.env.Now(), Active: rd.session.Outstanding()})
+			rd.env.Emit(obs.Event{Kind: obs.TagArrival, ID: ev.id, At: rd.env.Now(),
+				N1: rd.session.Outstanding()})
 		}
 	}
 	due := ev.at + workload.Exp(z.wl, f.cfg.MigrationRate)
@@ -728,8 +729,8 @@ func (f *fleetRun) traceFleet(rd *reader, kind obs.FleetKind, zone, from int, id
 	if rd == nil || rd.env.Tracer == nil {
 		return
 	}
-	rd.env.Tracer.FleetActivity(obs.FleetEvent{
-		Reader: rd.index, Zone: zone, Kind: kind, ID: id, From: from, At: at,
+	rd.env.Tracer.Emit(obs.Event{
+		Kind: obs.FleetActivity, N1: rd.index, N2: zone, N3: from, Sub: uint8(kind), ID: id, At: at,
 	})
 }
 

@@ -156,10 +156,8 @@ func (s *session) Step() (bool, error) {
 		backlog := est - float64(s.M.Identified()-s.identifiedBefore)
 		s.frameSize = estimate.MPRFrameSize(backlog, s.p.cfg.M)
 	}
-	s.Env.TraceEstimate(obsev.EstimateEvent{
-		Frame: s.M.Frames, Estimate: float64(s.frameSize) * s.p.mu,
-		FrameEst: est, Identified: s.M.Identified(),
-	})
+	s.Env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: s.M.Frames,
+		F1: float64(s.frameSize) * s.p.mu, F2: est, N2: s.M.Identified()})
 	return false, nil
 }
 

@@ -1,91 +1,24 @@
 package obs
 
-// eventKind indexes the event types a Buffer can hold, in the order the
-// Tracer interface declares them.
-type eventKind uint8
-
-const (
-	kindRunStart eventKind = iota
-	kindRunEnd
-	kindFrameStart
-	kindAdvertisement
-	kindSlotDone
-	kindTagIdentified
-	kindAckSent
-	kindRecordCreated
-	kindCascadeStep
-	kindRecordResolved
-	kindEstimatorUpdate
-	kindTagArrival
-	kindTagDeparture
-	kindSessionCheckpoint
-	kindFaultInjected
-	kindRecordQuarantined
-	kindReaderRestart
-	kindFleetActivity
-)
-
 // Buffer is a Tracer that records a run's event stream in memory and plays
 // it back later, in the exact order it was recorded. The sim harness uses
 // one Buffer per concurrent run so that a parallel campaign can replay the
 // runs' streams back-to-back in run-index order, making the merged trace
 // byte-identical to a sequential campaign's.
 //
-// Events are stored in per-type slices (no interface boxing, one
-// allocation per slice growth); the order slice remembers the interleaving.
 // A Buffer is not safe for concurrent use — it records exactly one run.
 type Buffer struct {
-	order []eventKind
-
-	runStarts  []RunStartEvent
-	runEnds    []RunEndEvent
-	frames     []FrameEvent
-	adverts    []AdvertEvent
-	slots      []SlotEvent
-	identifies []IdentifyEvent
-	acks       []AckEvent
-	records    []RecordEvent
-	cascades   []CascadeEvent
-	resolves   []ResolveEvent
-	estimates  []EstimateEvent
-
-	arrivals    []ArrivalEvent
-	departures  []DepartureEvent
-	checkpoints []CheckpointEvent
-
-	faults      []FaultEvent
-	quarantines []QuarantineEvent
-	restarts    []RestartEvent
-	fleets      []FleetEvent
+	events []Event
 }
 
-var _ Tracer = (*Buffer)(nil)
+// Emit implements Tracer.
+func (b *Buffer) Emit(ev Event) { b.events = append(b.events, ev) }
 
 // Len returns the number of buffered events.
-func (b *Buffer) Len() int { return len(b.order) }
+func (b *Buffer) Len() int { return len(b.events) }
 
 // Reset empties the buffer, retaining capacity.
-func (b *Buffer) Reset() {
-	b.order = b.order[:0]
-	b.runStarts = b.runStarts[:0]
-	b.runEnds = b.runEnds[:0]
-	b.frames = b.frames[:0]
-	b.adverts = b.adverts[:0]
-	b.slots = b.slots[:0]
-	b.identifies = b.identifies[:0]
-	b.acks = b.acks[:0]
-	b.records = b.records[:0]
-	b.cascades = b.cascades[:0]
-	b.resolves = b.resolves[:0]
-	b.estimates = b.estimates[:0]
-	b.arrivals = b.arrivals[:0]
-	b.departures = b.departures[:0]
-	b.checkpoints = b.checkpoints[:0]
-	b.faults = b.faults[:0]
-	b.quarantines = b.quarantines[:0]
-	b.restarts = b.restarts[:0]
-	b.fleets = b.fleets[:0]
-}
+func (b *Buffer) Reset() { b.events = b.events[:0] }
 
 // Replay delivers every buffered event to t in recorded order. A nil t is
 // a no-op. The buffer is left intact; call Reset to reuse it.
@@ -93,137 +26,7 @@ func (b *Buffer) Replay(t Tracer) {
 	if t == nil {
 		return
 	}
-	var cursor [kindFleetActivity + 1]int
-	for _, k := range b.order {
-		i := cursor[k]
-		cursor[k]++
-		switch k {
-		case kindRunStart:
-			t.RunStart(b.runStarts[i])
-		case kindRunEnd:
-			t.RunEnd(b.runEnds[i])
-		case kindFrameStart:
-			t.FrameStart(b.frames[i])
-		case kindAdvertisement:
-			t.Advertisement(b.adverts[i])
-		case kindSlotDone:
-			t.SlotDone(b.slots[i])
-		case kindTagIdentified:
-			t.TagIdentified(b.identifies[i])
-		case kindAckSent:
-			t.AckSent(b.acks[i])
-		case kindRecordCreated:
-			t.RecordCreated(b.records[i])
-		case kindCascadeStep:
-			t.CascadeStep(b.cascades[i])
-		case kindRecordResolved:
-			t.RecordResolved(b.resolves[i])
-		case kindEstimatorUpdate:
-			t.EstimatorUpdate(b.estimates[i])
-		case kindTagArrival:
-			t.TagArrival(b.arrivals[i])
-		case kindTagDeparture:
-			t.TagDeparture(b.departures[i])
-		case kindSessionCheckpoint:
-			t.SessionCheckpoint(b.checkpoints[i])
-		case kindFaultInjected:
-			t.FaultInjected(b.faults[i])
-		case kindRecordQuarantined:
-			t.RecordQuarantined(b.quarantines[i])
-		case kindReaderRestart:
-			t.ReaderRestart(b.restarts[i])
-		case kindFleetActivity:
-			t.FleetActivity(b.fleets[i])
-		}
+	for _, ev := range b.events {
+		t.Emit(ev)
 	}
-}
-
-func (b *Buffer) RunStart(ev RunStartEvent) {
-	b.order = append(b.order, kindRunStart)
-	b.runStarts = append(b.runStarts, ev)
-}
-
-func (b *Buffer) RunEnd(ev RunEndEvent) {
-	b.order = append(b.order, kindRunEnd)
-	b.runEnds = append(b.runEnds, ev)
-}
-
-func (b *Buffer) FrameStart(ev FrameEvent) {
-	b.order = append(b.order, kindFrameStart)
-	b.frames = append(b.frames, ev)
-}
-
-func (b *Buffer) Advertisement(ev AdvertEvent) {
-	b.order = append(b.order, kindAdvertisement)
-	b.adverts = append(b.adverts, ev)
-}
-
-func (b *Buffer) SlotDone(ev SlotEvent) {
-	b.order = append(b.order, kindSlotDone)
-	b.slots = append(b.slots, ev)
-}
-
-func (b *Buffer) TagIdentified(ev IdentifyEvent) {
-	b.order = append(b.order, kindTagIdentified)
-	b.identifies = append(b.identifies, ev)
-}
-
-func (b *Buffer) AckSent(ev AckEvent) {
-	b.order = append(b.order, kindAckSent)
-	b.acks = append(b.acks, ev)
-}
-
-func (b *Buffer) RecordCreated(ev RecordEvent) {
-	b.order = append(b.order, kindRecordCreated)
-	b.records = append(b.records, ev)
-}
-
-func (b *Buffer) CascadeStep(ev CascadeEvent) {
-	b.order = append(b.order, kindCascadeStep)
-	b.cascades = append(b.cascades, ev)
-}
-
-func (b *Buffer) RecordResolved(ev ResolveEvent) {
-	b.order = append(b.order, kindRecordResolved)
-	b.resolves = append(b.resolves, ev)
-}
-
-func (b *Buffer) EstimatorUpdate(ev EstimateEvent) {
-	b.order = append(b.order, kindEstimatorUpdate)
-	b.estimates = append(b.estimates, ev)
-}
-
-func (b *Buffer) TagArrival(ev ArrivalEvent) {
-	b.order = append(b.order, kindTagArrival)
-	b.arrivals = append(b.arrivals, ev)
-}
-
-func (b *Buffer) TagDeparture(ev DepartureEvent) {
-	b.order = append(b.order, kindTagDeparture)
-	b.departures = append(b.departures, ev)
-}
-
-func (b *Buffer) SessionCheckpoint(ev CheckpointEvent) {
-	b.order = append(b.order, kindSessionCheckpoint)
-	b.checkpoints = append(b.checkpoints, ev)
-}
-
-func (b *Buffer) FaultInjected(ev FaultEvent) {
-	b.order = append(b.order, kindFaultInjected)
-	b.faults = append(b.faults, ev)
-}
-
-func (b *Buffer) RecordQuarantined(ev QuarantineEvent) {
-	b.order = append(b.order, kindRecordQuarantined)
-	b.quarantines = append(b.quarantines, ev)
-}
-
-func (b *Buffer) ReaderRestart(ev RestartEvent) {
-	b.order = append(b.order, kindReaderRestart)
-	b.restarts = append(b.restarts, ev)
-}
-
-func (b *Buffer) FleetActivity(ev FleetEvent) {
-	b.order = append(b.order, kindFleetActivity)
-	b.fleets = append(b.fleets, ev)
 }

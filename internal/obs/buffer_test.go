@@ -56,17 +56,21 @@ func TestBufferReplayTwiceAndReset(t *testing.T) {
 // their relative order across interleavings with other types.
 func TestBufferInterleavingPreserved(t *testing.T) {
 	buf := &Buffer{}
-	buf.SlotDone(SlotEvent{Seq: 0})
-	buf.FrameStart(FrameEvent{Frame: 1})
-	buf.SlotDone(SlotEvent{Seq: 1})
-	buf.FrameStart(FrameEvent{Frame: 2})
-	buf.SlotDone(SlotEvent{Seq: 2})
+	buf.Emit(Event{Kind: SlotDone, Seq: 0})
+	buf.Emit(Event{Kind: FrameStart, N1: 1})
+	buf.Emit(Event{Kind: SlotDone, Seq: 1})
+	buf.Emit(Event{Kind: FrameStart, N1: 2})
+	buf.Emit(Event{Kind: SlotDone, Seq: 2})
 
 	var got []int
-	buf.Replay(&Hooks{
-		OnSlotDone:   func(ev SlotEvent) { got = append(got, ev.Seq) },
-		OnFrameStart: func(ev FrameEvent) { got = append(got, -ev.Frame) },
-	})
+	buf.Replay(Func(func(ev Event) {
+		switch ev.Kind {
+		case SlotDone:
+			got = append(got, ev.Seq)
+		case FrameStart:
+			got = append(got, -ev.N1)
+		}
+	}))
 	want := []int{0, -1, 1, -2, 2}
 	if len(got) != len(want) {
 		t.Fatalf("replayed %v, want %v", got, want)

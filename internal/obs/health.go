@@ -116,8 +116,6 @@ type HealthSnapshot struct {
 // All state is behind a mutex, so a monitor may be shared across the
 // concurrent runs of a parallel campaign; scores are then campaign-global.
 type HealthMonitor struct {
-	NopTracer
-
 	// OnEvent, when non-nil, receives every health transition. Set it before
 	// the monitor sees events.
 	OnEvent func(HealthEvent)
@@ -219,38 +217,57 @@ func (m *HealthMonitor) Stalls() int {
 	return m.stalls
 }
 
-// RunStart implements Tracer.
-func (m *HealthMonitor) RunStart(RunStartEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.run++
-	// A stall episode does not survive a run boundary.
-	m.stalled = false
-	m.barren = 0
-	m.sinceSlotID = 0
-	m.lastSlot = -1
-}
-
-// RunEnd implements Tracer.
-func (m *HealthMonitor) RunEnd(ev RunEndEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ev.Err != "" {
-		m.runsFailed++
-		m.emit(HealthRunFailed, m.lastSlot)
+// Emit implements Tracer: the throughput EWMA and the stall detector
+// advance per slot; run, identification and record events feed the
+// counters they depend on. Other kinds return without taking the lock.
+func (m *HealthMonitor) Emit(ev Event) {
+	switch ev.Kind {
+	case RunStart, RunEnd, SlotDone, TagIdentified, RecordCreated, RecordQuarantined:
+	default:
+		return
 	}
-	m.stalled = false
-	m.barren = 0
-	m.sinceSlotID = 0
-}
-
-// SlotDone implements Tracer: the throughput EWMA and the stall detector
-// both advance per slot.
-func (m *HealthMonitor) SlotDone(ev SlotEvent) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	switch ev.Kind {
+	case RunStart:
+		m.run++
+		// A stall episode does not survive a run boundary.
+		m.stalled = false
+		m.barren = 0
+		m.sinceSlotID = 0
+		m.lastSlot = -1
+	case RunEnd:
+		if ev.Err != "" {
+			m.runsFailed++
+			m.emit(HealthRunFailed, m.lastSlot)
+		}
+		m.stalled = false
+		m.barren = 0
+		m.sinceSlotID = 0
+	case SlotDone:
+		m.slotDone(ev.Seq, ev.N1)
+	case TagIdentified:
+		m.identified++
+		m.sinceSlotID++
+	case RecordCreated:
+		m.recCreated++
+	case RecordQuarantined:
+		m.recQuar++
+		if m.quarSurged {
+			return
+		}
+		if m.recCreated >= int64(m.cfg.QuarantineMinRecords) &&
+			float64(m.recQuar) > m.cfg.QuarantineRateMax*float64(m.recCreated) {
+			m.quarSurged = true
+			m.emit(HealthQuarantineSurge, m.lastSlot)
+		}
+	}
+}
+
+// slotDone advances the EWMA and the stall detector by one slot (mu held).
+func (m *HealthMonitor) slotDone(seq, transmitters int) {
 	m.slots++
-	m.lastSlot = ev.Seq
+	m.lastSlot = seq
 	ids := m.sinceSlotID
 	m.sinceSlotID = 0
 	m.ewma += m.cfg.EWMAAlpha * (float64(ids) - m.ewma)
@@ -258,11 +275,11 @@ func (m *HealthMonitor) SlotDone(ev SlotEvent) {
 		m.barren = 0
 		if m.stalled {
 			m.stalled = false
-			m.emit(HealthRecovered, ev.Seq)
+			m.emit(HealthRecovered, seq)
 		}
 		return
 	}
-	if ev.Transmitters == 0 {
+	if transmitters == 0 {
 		// Idle air is not a stall: nothing was there to identify.
 		return
 	}
@@ -270,36 +287,6 @@ func (m *HealthMonitor) SlotDone(ev SlotEvent) {
 	if m.barren == m.cfg.StallSlots && !m.stalled {
 		m.stalled = true
 		m.stalls++
-		m.emit(HealthStall, ev.Seq)
-	}
-}
-
-// TagIdentified implements Tracer.
-func (m *HealthMonitor) TagIdentified(IdentifyEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.identified++
-	m.sinceSlotID++
-}
-
-// RecordCreated implements Tracer.
-func (m *HealthMonitor) RecordCreated(RecordEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recCreated++
-}
-
-// RecordQuarantined implements Tracer.
-func (m *HealthMonitor) RecordQuarantined(QuarantineEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recQuar++
-	if m.quarSurged {
-		return
-	}
-	if m.recCreated >= int64(m.cfg.QuarantineMinRecords) &&
-		float64(m.recQuar) > m.cfg.QuarantineRateMax*float64(m.recCreated) {
-		m.quarSurged = true
-		m.emit(HealthQuarantineSurge, m.lastSlot)
+		m.emit(HealthStall, seq)
 	}
 }

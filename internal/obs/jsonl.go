@@ -4,6 +4,7 @@ import (
 	"io"
 	"strconv"
 
+	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
@@ -26,8 +27,6 @@ type JSONL struct {
 	run int
 	err error
 }
-
-var _ Tracer = (*JSONL)(nil)
 
 // NewJSONL returns a JSONL trace writer over w.
 func NewJSONL(w io.Writer) *JSONL {
@@ -81,235 +80,116 @@ func (j *JSONL) id(key string, v tagid.ID) {
 }
 
 func (j *JSONL) close() {
-	if j.err != nil {
-		return
-	}
 	j.buf = append(j.buf, '}', '\n')
 	if _, err := j.w.Write(j.buf); err != nil {
 		j.err = err
 	}
 }
 
-func (j *JSONL) RunStart(ev RunStartEvent) {
+// Emit implements Tracer: one line per event.
+func (j *JSONL) Emit(ev Event) {
 	if j.err != nil {
 		return
 	}
-	j.run++
-	j.open("run_start")
-	j.str("protocol", ev.Protocol)
-	j.int("tags", int64(ev.Tags))
-	j.close()
-}
-
-func (j *JSONL) RunEnd(ev RunEndEvent) {
-	if j.err != nil {
-		return
+	if ev.Kind == RunStart {
+		j.run++
 	}
-	j.open("run_end")
-	j.str("protocol", ev.Protocol)
-	j.int("slots", int64(ev.Slots))
-	j.int("frames", int64(ev.Frames))
-	j.int("direct", int64(ev.Direct))
-	j.int("resolved", int64(ev.Resolved))
-	if ev.Err != "" {
-		j.str("err", ev.Err)
-	}
-	j.close()
-}
-
-func (j *JSONL) FrameStart(ev FrameEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("frame")
-	j.int("seq", int64(ev.Seq))
-	j.int("frame", int64(ev.Frame))
-	j.int("size", int64(ev.Size))
-	j.float("p", ev.P)
-	j.close()
-}
-
-func (j *JSONL) Advertisement(ev AdvertEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("advert")
-	j.int("seq", int64(ev.Seq))
-	j.float("p", ev.P)
-	j.close()
-}
-
-func (j *JSONL) SlotDone(ev SlotEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("slot")
-	j.int("seq", int64(ev.Seq))
-	j.str("kind", ev.Kind.String())
-	j.int("tx", int64(ev.Transmitters))
-	j.int("identified", int64(ev.Identified))
-	j.close()
-}
-
-func (j *JSONL) TagIdentified(ev IdentifyEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("identify")
-	j.id("id", ev.ID)
-	j.bool("via_resolution", ev.ViaResolution)
-	j.close()
-}
-
-func (j *JSONL) AckSent(ev AckEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("ack")
-	j.int("seq", int64(ev.Seq))
-	j.id("id", ev.ID)
-	j.str("kind", ev.Kind.String())
-	j.bool("delivered", ev.Delivered)
-	j.close()
-}
-
-func (j *JSONL) RecordCreated(ev RecordEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("record")
-	j.int("slot", int64(ev.Slot))
-	j.int("mult", int64(ev.Multiplicity))
-	j.int("unknown", int64(ev.Unknown))
-	j.close()
-}
-
-func (j *JSONL) CascadeStep(ev CascadeEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("cascade")
-	j.id("id", ev.ID)
-	j.int("records", int64(ev.Records))
-	j.int("depth", int64(ev.Depth))
-	j.close()
-}
-
-func (j *JSONL) RecordResolved(ev ResolveEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("resolve")
-	j.int("slot", int64(ev.Slot))
-	j.id("id", ev.ID)
-	var zero tagid.ID
-	if ev.Trigger != zero {
-		j.id("trigger", ev.Trigger)
-	}
-	j.int("depth", int64(ev.Depth))
-	if ev.Dup {
-		j.bool("dup", true)
-	}
-	j.close()
-}
-
-func (j *JSONL) EstimatorUpdate(ev EstimateEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("estimate")
-	j.int("frame", int64(ev.Frame))
-	j.float("estimate", ev.Estimate)
-	j.float("frame_est", ev.FrameEst)
-	j.int("identified", int64(ev.Identified))
-	j.close()
-}
-
-func (j *JSONL) TagArrival(ev ArrivalEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("arrival")
-	j.id("id", ev.ID)
-	j.int("t_us", ev.At.Microseconds())
-	j.int("active", int64(ev.Active))
-	j.close()
-}
-
-func (j *JSONL) TagDeparture(ev DepartureEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("departure")
-	j.id("id", ev.ID)
-	j.int("t_us", ev.At.Microseconds())
-	j.bool("identified", ev.Identified)
-	j.close()
-}
-
-func (j *JSONL) SessionCheckpoint(ev CheckpointEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("checkpoint")
-	j.int("seq", int64(ev.Seq))
-	j.int("t_us", ev.At.Microseconds())
-	j.int("active", int64(ev.Active))
-	j.int("identified", int64(ev.Identified))
-	j.close()
-}
-
-func (j *JSONL) FaultInjected(ev FaultEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("fault")
-	j.int("slot", int64(ev.Slot))
-	j.str("kind", ev.Kind.String())
-	var zero tagid.ID
-	if ev.ID != zero {
+	j.open(ev.Kind.String())
+	switch ev.Kind {
+	case RunStart:
+		j.str("protocol", ev.Label)
+		j.int("tags", int64(ev.N1))
+	case RunEnd:
+		j.str("protocol", ev.Label)
+		j.int("slots", int64(ev.Seq))
+		j.int("frames", int64(ev.N1))
+		j.int("direct", int64(ev.N2))
+		j.int("resolved", int64(ev.N3))
+		if ev.Err != "" {
+			j.str("err", ev.Err)
+		}
+	case FrameStart:
+		j.int("seq", int64(ev.Seq))
+		j.int("frame", int64(ev.N1))
+		j.int("size", int64(ev.N2))
+		j.float("p", ev.F1)
+	case Advertisement:
+		j.int("seq", int64(ev.Seq))
+		j.float("p", ev.F1)
+	case SlotDone:
+		j.int("seq", int64(ev.Seq))
+		j.str("kind", channel.Kind(ev.Sub).String())
+		j.int("tx", int64(ev.N1))
+		j.int("identified", int64(ev.N2))
+	case TagIdentified:
 		j.id("id", ev.ID)
-	}
-	j.close()
-}
-
-func (j *JSONL) RecordQuarantined(ev QuarantineEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("quarantine")
-	j.int("slot", int64(ev.Slot))
-	j.str("reason", ev.Reason)
-	j.int("members", int64(ev.Members))
-	j.close()
-}
-
-func (j *JSONL) ReaderRestart(ev RestartEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("restart")
-	j.int("wall", int64(ev.Wall))
-	j.int("t_us", ev.At.Microseconds())
-	j.int("checkpoint", int64(ev.Checkpoint))
-	j.close()
-}
-
-func (j *JSONL) FleetActivity(ev FleetEvent) {
-	if j.err != nil {
-		return
-	}
-	j.open("fleet")
-	j.int("reader", int64(ev.Reader))
-	j.int("zone", int64(ev.Zone))
-	j.str("kind", ev.Kind.String())
-	var zero tagid.ID
-	if ev.ID != zero {
+		j.bool("via_resolution", ev.Flag)
+	case AckSent:
+		j.int("seq", int64(ev.Seq))
 		j.id("id", ev.ID)
+		j.str("kind", AckKind(ev.Sub).String())
+		j.bool("delivered", ev.Flag)
+	case RecordCreated:
+		j.int("slot", int64(ev.Seq))
+		j.int("mult", int64(ev.N1))
+		j.int("unknown", int64(ev.N2))
+	case CascadeStep:
+		j.id("id", ev.ID)
+		j.int("records", int64(ev.N1))
+		j.int("depth", int64(ev.N2))
+	case RecordResolved:
+		j.int("slot", int64(ev.Seq))
+		j.id("id", ev.ID)
+		if ev.ID2 != (tagid.ID{}) {
+			j.id("trigger", ev.ID2)
+		}
+		j.int("depth", int64(ev.N1))
+		if ev.Flag {
+			j.bool("dup", true)
+		}
+	case EstimatorUpdate:
+		j.int("frame", int64(ev.N1))
+		j.float("estimate", ev.F1)
+		j.float("frame_est", ev.F2)
+		j.int("identified", int64(ev.N2))
+	case TagArrival:
+		j.id("id", ev.ID)
+		j.int("t_us", ev.At.Microseconds())
+		j.int("active", int64(ev.N1))
+	case TagDeparture:
+		j.id("id", ev.ID)
+		j.int("t_us", ev.At.Microseconds())
+		j.bool("identified", ev.Flag)
+	case SessionCheckpoint:
+		j.int("seq", int64(ev.Seq))
+		j.int("t_us", ev.At.Microseconds())
+		j.int("active", int64(ev.N1))
+		j.int("identified", int64(ev.N2))
+	case FaultInjected:
+		j.int("slot", int64(ev.Seq))
+		j.str("kind", FaultKind(ev.Sub).String())
+		if ev.ID != (tagid.ID{}) {
+			j.id("id", ev.ID)
+		}
+	case RecordQuarantined:
+		j.int("slot", int64(ev.Seq))
+		j.str("reason", ev.Label)
+		j.int("members", int64(ev.N1))
+	case ReaderRestart:
+		j.int("wall", int64(ev.Seq))
+		j.int("t_us", ev.At.Microseconds())
+		j.int("checkpoint", int64(ev.N1))
+	case FleetActivity:
+		j.int("reader", int64(ev.N1))
+		j.int("zone", int64(ev.N2))
+		j.str("kind", FleetKind(ev.Sub).String())
+		if ev.ID != (tagid.ID{}) {
+			j.id("id", ev.ID)
+		}
+		if ev.N3 >= 0 {
+			j.int("from", int64(ev.N3))
+		}
+		j.int("t_us", ev.At.Microseconds())
 	}
-	if ev.From >= 0 {
-		j.int("from", int64(ev.From))
-	}
-	j.int("t_us", ev.At.Microseconds())
 	j.close()
 }

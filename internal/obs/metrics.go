@@ -108,8 +108,6 @@ type MetricsTracer struct {
 	fleetReaders map[uint32]*Counter
 }
 
-var _ Tracer = (*MetricsTracer)(nil)
-
 // NewMetricsTracer returns a tracer that accumulates into reg.
 func NewMetricsTracer(reg *Registry) *MetricsTracer {
 	return &MetricsTracer{
@@ -144,145 +142,131 @@ func NewMetricsTracer(reg *Registry) *MetricsTracer {
 	}
 }
 
-func (t *MetricsTracer) RunStart(RunStartEvent) {
-	t.runsStarted.Inc()
-	clear(t.arrivals)
-}
-
-func (t *MetricsTracer) RunEnd(ev RunEndEvent) {
-	if ev.Err == "" {
-		t.runsCompleted.Inc()
-	} else {
-		t.runsFailed.Inc()
-	}
-}
-
-func (t *MetricsTracer) FrameStart(FrameEvent) { t.frames.Inc() }
-
-func (t *MetricsTracer) Advertisement(AdvertEvent) { t.adverts.Inc() }
-
-func (t *MetricsTracer) SlotDone(ev SlotEvent) {
-	// Classify by the observed kind, not the transmitter count: a
-	// corrupted singleton observes as a collision and must count as one.
+// Emit implements Tracer.
+func (t *MetricsTracer) Emit(ev Event) {
 	switch ev.Kind {
-	case channel.Empty:
-		t.slotsEmpty.Inc()
-	case channel.Singleton:
-		t.slotsSingleton.Inc()
-	case channel.Collision, channel.Captured:
-		// A captured slot still occupied the air as a collision; counting
-		// it there keeps the registry's counter set (and the golden hashes
-		// over its dump) stable whether or not capture is enabled.
-		t.slotsCollision.Inc()
+	case RunStart:
+		t.runsStarted.Inc()
+		clear(t.arrivals)
+	case RunEnd:
+		if ev.Err == "" {
+			t.runsCompleted.Inc()
+		} else {
+			t.runsFailed.Inc()
+		}
+	case FrameStart:
+		t.frames.Inc()
+	case Advertisement:
+		t.adverts.Inc()
+	case SlotDone:
+		// Classify by the observed kind, not the transmitter count: a
+		// corrupted singleton observes as a collision and must count as one.
+		switch channel.Kind(ev.Sub) {
+		case channel.Empty:
+			t.slotsEmpty.Inc()
+		case channel.Singleton:
+			t.slotsSingleton.Inc()
+		case channel.Collision, channel.Captured:
+			// A captured slot still occupied the air as a collision;
+			// counting it there keeps the registry's counter set (and the
+			// golden hashes over its dump) stable whether or not capture
+			// is enabled.
+			t.slotsCollision.Inc()
+		}
+		t.txTotal.Add(int64(ev.N1))
+		t.txPerSlot.Observe(int64(ev.N1))
+	case TagIdentified:
+		if ev.Flag {
+			t.idsResolved.Inc()
+		} else {
+			t.idsDirect.Inc()
+		}
+		lat := ev.At
+		if t0, ok := t.arrivals[ev.ID]; ok {
+			lat = ev.At - t0
+		}
+		t.identLatency.Observe(lat.Microseconds())
+	case AckSent:
+		t.acksSent.Inc()
+		if !ev.Flag {
+			t.acksLost.Inc()
+		}
+	case RecordCreated:
+		t.recCreated.Inc()
+		t.recordMult.Observe(int64(ev.N1))
+	case CascadeStep:
+		t.cascadeSteps.Inc()
+	case RecordResolved:
+		if ev.Flag {
+			t.recSpent.Inc()
+			return
+		}
+		t.recResolved.Inc()
+		t.cascadeDepth.Observe(int64(ev.N1))
+		t.cascadeDepthSketch.Observe(int64(ev.N1))
+	case EstimatorUpdate:
+		t.estimatorUpdates.Inc()
+	case TagArrival:
+		t.tagsArrived.Inc()
+		if t.arrivals == nil {
+			t.arrivals = make(map[tagid.ID]time.Duration)
+		}
+		t.arrivals[ev.ID] = ev.At
+	case TagDeparture:
+		t.tagsDeparted.Inc()
+		if !ev.Flag {
+			t.departedUnread.Inc()
+		}
+	case SessionCheckpoint:
+		t.checkpoints.Inc()
+	case FaultInjected:
+		k := FaultKind(ev.Sub)
+		if int(k) >= len(t.faultKinds) {
+			k = 0
+		}
+		c := t.faultKinds[k]
+		if c == nil {
+			c = t.reg.Counter(MetricFaultsPrefix + FaultKind(ev.Sub).String())
+			t.faultKinds[k] = c
+		}
+		c.Inc()
+	case RecordQuarantined:
+		if t.quarantined == nil {
+			t.quarantined = t.reg.Counter(MetricRecordsQuarantined)
+		}
+		t.quarantined.Inc()
+	case ReaderRestart:
+		if t.restarts == nil {
+			t.restarts = t.reg.Counter(MetricReaderRestarts)
+		}
+		t.restarts.Inc()
+	case FleetActivity:
+		t.fleetActivity(FleetKind(ev.Sub), ev.N1)
 	}
-	t.txTotal.Add(int64(ev.Transmitters))
-	t.txPerSlot.Observe(int64(ev.Transmitters))
 }
 
-func (t *MetricsTracer) TagIdentified(ev IdentifyEvent) {
-	if ev.ViaResolution {
-		t.idsResolved.Inc()
-	} else {
-		t.idsDirect.Inc()
-	}
-	lat := ev.At
-	if t0, ok := t.arrivals[ev.ID]; ok {
-		lat = ev.At - t0
-	}
-	t.identLatency.Observe(lat.Microseconds())
-}
-
-func (t *MetricsTracer) AckSent(ev AckEvent) {
-	t.acksSent.Inc()
-	if !ev.Delivered {
-		t.acksLost.Inc()
-	}
-}
-
-func (t *MetricsTracer) RecordCreated(ev RecordEvent) {
-	t.recCreated.Inc()
-	t.recordMult.Observe(int64(ev.Multiplicity))
-}
-
-func (t *MetricsTracer) CascadeStep(CascadeEvent) { t.cascadeSteps.Inc() }
-
-func (t *MetricsTracer) RecordResolved(ev ResolveEvent) {
-	if ev.Dup {
-		t.recSpent.Inc()
-		return
-	}
-	t.recResolved.Inc()
-	t.cascadeDepth.Observe(int64(ev.Depth))
-	t.cascadeDepthSketch.Observe(int64(ev.Depth))
-}
-
-func (t *MetricsTracer) EstimatorUpdate(EstimateEvent) { t.estimatorUpdates.Inc() }
-
-func (t *MetricsTracer) TagArrival(ev ArrivalEvent) {
-	t.tagsArrived.Inc()
-	if t.arrivals == nil {
-		t.arrivals = make(map[tagid.ID]time.Duration)
-	}
-	t.arrivals[ev.ID] = ev.At
-}
-
-func (t *MetricsTracer) TagDeparture(ev DepartureEvent) {
-	t.tagsDeparted.Inc()
-	if !ev.Identified {
-		t.departedUnread.Inc()
-	}
-}
-
-func (t *MetricsTracer) SessionCheckpoint(CheckpointEvent) { t.checkpoints.Inc() }
-
-func (t *MetricsTracer) FaultInjected(ev FaultEvent) {
-	k := ev.Kind
-	if int(k) >= len(t.faultKinds) {
-		k = 0
-	}
-	c := t.faultKinds[k]
-	if c == nil {
-		c = t.reg.Counter(MetricFaultsPrefix + ev.Kind.String())
-		t.faultKinds[k] = c
-	}
-	c.Inc()
-}
-
-func (t *MetricsTracer) RecordQuarantined(QuarantineEvent) {
-	if t.quarantined == nil {
-		t.quarantined = t.reg.Counter(MetricRecordsQuarantined)
-	}
-	t.quarantined.Inc()
-}
-
-func (t *MetricsTracer) ReaderRestart(RestartEvent) {
-	if t.restarts == nil {
-		t.restarts = t.reg.Counter(MetricReaderRestarts)
-	}
-	t.restarts.Inc()
-}
-
-func (t *MetricsTracer) FleetActivity(ev FleetEvent) {
-	k := ev.Kind
+// fleetActivity bumps the lazily created fleet counter families.
+func (t *MetricsTracer) fleetActivity(kind FleetKind, reader int) {
+	k := kind
 	if int(k) >= len(t.fleetTotals) {
 		k = 0
 	}
 	c := t.fleetTotals[k]
 	if c == nil {
-		c = t.reg.Counter(MetricFleetPrefix + ev.Kind.String())
+		c = t.reg.Counter(MetricFleetPrefix + kind.String())
 		t.fleetTotals[k] = c
 	}
 	c.Inc()
-	if ev.Reader < 0 || ev.Reader > 0xffff {
+	if reader < 0 || reader > 0xffff {
 		return
 	}
-	key := uint32(k)<<16 | uint32(ev.Reader)
+	key := uint32(k)<<16 | uint32(reader)
 	rc := t.fleetReaders[key]
 	if rc == nil {
 		if t.fleetReaders == nil {
 			t.fleetReaders = make(map[uint32]*Counter)
 		}
-		rc = t.reg.Counter(MetricFleetPrefix + ev.Kind.String() + ".reader" + strconv.Itoa(ev.Reader))
+		rc = t.reg.Counter(MetricFleetPrefix + kind.String() + ".reader" + strconv.Itoa(reader))
 		t.fleetReaders[key] = rc
 	}
 	rc.Inc()

@@ -1,33 +1,20 @@
-// Package obs is the observability layer of the simulator: a typed,
+// Package obs is the observability layer of the simulator: one flat,
 // allocation-free event stream emitted by every protocol run, plus the
-// consumers that turn it into traces and metrics.
+// consumers that turn it into traces, spans, metrics and health scores.
 //
 // The paper's argument is entirely about what happens *inside* slots —
 // collision records accumulating, ANC cancellation cascades, the embedded
-// estimator locking on (Eq. 12) — so the event taxonomy mirrors exactly
-// those moments:
+// estimator locking on (Eq. 12) — so the event kinds mirror exactly those
+// moments (see EventKind for the full list and each kind's payload).
 //
-//	RunStart / RunEnd            one protocol run begins / finishes
-//	FrameStart                   a frame boundary (framed protocols)
-//	Advertisement                a per-slot advertisement (probe slots)
-//	SlotDone                     one report segment completed
-//	TagIdentified                a tag ID entered the reader's inventory
-//	AckSent                      a reader acknowledgement (and its fate)
-//	RecordCreated                a collision record was stored
-//	CascadeStep                  a known signal is subtracted from records
-//	RecordResolved               a record decoded (or was spent)
-//	EstimatorUpdate              the population estimate changed
-//	TagArrival                   a tag entered the field (dynamic workloads)
-//	TagDeparture                 a tag left the field (dynamic workloads)
-//	SessionCheckpoint            a session snapshot was taken
+// A Tracer has one method, Emit(Event). Event is a fixed-size value (a
+// Kind, a timestamp and a small payload of plain fields) passed by value,
+// so emitting never allocates. Producers hold a Tracer behind a nil check
+// (see protocol.Env.Tracer): a run without observers builds no events at
+// all. bench_test.go guards this with a testing.AllocsPerRun assertion.
 //
-// Producers hold a Tracer behind a nil check (see protocol.Env.Tracer), so
-// a run without observers pays nothing: events are plain structs passed by
-// value through concrete method calls — no interface boxing, no heap
-// allocation. bench_test.go guards this with a testing.AllocsPerRun
-// assertion.
-//
-// Consumers provided here:
+// Consumers provided here each switch on the kinds they use and ignore
+// the rest:
 //
 //   - JSONL: a machine-readable trace writer (one JSON object per line,
 //     schema versioned by SchemaVersion; see docs/observability.md).
@@ -35,14 +22,16 @@
 //   - MetricsTracer: feeds an atomic counter/histogram Registry whose
 //     totals mirror protocol.Metrics (cross-checked in tests) and whose
 //     text dump parses as "key value" lines.
-//   - Hooks: a struct-of-functions adapter for ad-hoc observers.
-//   - Multi: fan-out to several tracers.
+//   - SpanBuilder: folds the stream into hierarchical spans.
+//   - HealthMonitor: scores the traced system's health.
+//   - Buffer: records a stream and replays it in order.
+//   - Func: adapts a plain func(Event) for ad-hoc observers.
+//   - Multi: fans out to several tracers.
 package obs
 
 import (
 	"time"
 
-	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
@@ -79,198 +68,6 @@ func (k AckKind) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// RunStartEvent opens one protocol run.
-type RunStartEvent struct {
-	// Protocol is the display name, e.g. "FCAT-2".
-	Protocol string
-	// Tags is the population size the run faces.
-	Tags int
-}
-
-// RunEndEvent closes one protocol run.
-type RunEndEvent struct {
-	// Protocol is the display name, e.g. "FCAT-2".
-	Protocol string
-	// Slots, Frames, Direct and Resolved summarise the finished run (the
-	// same quantities as protocol.Metrics).
-	Slots    int
-	Frames   int
-	Direct   int
-	Resolved int
-	// Err is the run error, empty on success.
-	Err string
-	// At is the simulated air time the run finished at (equal to the run's
-	// Metrics.OnAir). Not serialised by the JSONL tracer — the trace derives
-	// slot times from the timing model; spans and sketches consume it.
-	At time.Duration
-}
-
-// FrameEvent marks a frame boundary: the advertisement that opens a frame
-// of Size slots at report probability P.
-type FrameEvent struct {
-	// Seq is the sequence number the frame's first slot will get.
-	Seq int
-	// Frame is the 1-based frame number within the run.
-	Frame int
-	// Size is the number of slots in the frame.
-	Size int
-	// P is the advertised report probability; 0 for frame-ALOHA protocols,
-	// which advertise a frame size instead.
-	P float64
-	// At is the simulated air time the frame was advertised at.
-	At time.Duration
-}
-
-// AdvertEvent marks a single-slot advertisement (SCAT's per-slot
-// advertisements and FCAT's bootstrap/termination probes).
-type AdvertEvent struct {
-	// Seq is the sequence number the advertised slot will get.
-	Seq int
-	// P is the advertised report probability.
-	P float64
-	// At is the simulated air time of the advertisement.
-	At time.Duration
-}
-
-// SlotEvent reports one completed report segment.
-type SlotEvent struct {
-	// Seq is the 0-based sequence number of the slot within the run.
-	Seq int
-	// Kind is the observed outcome (empty / singleton / collision).
-	Kind channel.Kind
-	// Transmitters is the number of tags that reported (ground truth).
-	Transmitters int
-	// Identified is the cumulative unique-ID count after the slot.
-	Identified int
-	// At is the simulated air time after the slot (report segment,
-	// acknowledgements and resolution work included).
-	At time.Duration
-}
-
-// IdentifyEvent reports a tag ID entering the reader's inventory, exactly
-// once per counted tag.
-type IdentifyEvent struct {
-	// ID is the identified tag.
-	ID tagid.ID
-	// ViaResolution is true when the ID was recovered from a collision
-	// record rather than read from a singleton slot.
-	ViaResolution bool
-	// At is the simulated air time of the identification. In a batch run it
-	// doubles as the identification latency (every tag is present from t=0).
-	At time.Duration
-}
-
-// AckEvent reports one reader acknowledgement and whether it reached its
-// tag (lost acknowledgements make the tag keep transmitting, Section IV-E).
-type AckEvent struct {
-	// Seq is the sequence number of the slot the acknowledgement follows.
-	Seq int
-	// ID is the acknowledged tag.
-	ID tagid.ID
-	// Kind is the acknowledgement encoding.
-	Kind AckKind
-	// Delivered is false when the acknowledgement was lost.
-	Delivered bool
-	// At is the simulated air time of the acknowledgement.
-	At time.Duration
-}
-
-// RecordEvent reports a collision record entering the reader's store.
-type RecordEvent struct {
-	// Slot is the record's slot index (the key FCAT later acknowledges).
-	Slot uint64
-	// Multiplicity is the number of tags that transmitted in the slot.
-	Multiplicity int
-	// Unknown is how many of them the reader had not identified yet when
-	// the record was stored.
-	Unknown int
-}
-
-// CascadeEvent reports one step of the resolution cascade: a newly-known
-// tag's signal being subtracted from every record it participated in.
-type CascadeEvent struct {
-	// ID is the tag whose signal is subtracted.
-	ID tagid.ID
-	// Records is the number of stored records the tag participated in.
-	Records int
-	// Depth is the cascade depth: 0 for the identification that started
-	// the cascade, d+1 for an ID recovered at depth d.
-	Depth int
-}
-
-// ResolveEvent reports a collision record resolving.
-type ResolveEvent struct {
-	// Slot is the resolved record's slot index.
-	Slot uint64
-	// ID is the recovered tag ID (the record's last unknown constituent).
-	ID tagid.ID
-	// Trigger is the identification whose subtraction completed the
-	// record; the zero ID when the record resolved as it was stored
-	// (all other members already known).
-	Trigger tagid.ID
-	// Depth is the cascade depth at which the record resolved: 0 when it
-	// resolved as stored, d+1 when triggered by an ID known at depth d.
-	Depth int
-	// Dup is true when the residual was an ID the reader already knew
-	// (the record is spent but yields nothing new — two records in one
-	// cascade can strip down to the same tag).
-	Dup bool
-}
-
-// EstimateEvent reports a population-estimate update.
-type EstimateEvent struct {
-	// Frame is the frame number the update follows (0 for updates outside
-	// frames, e.g. FCAT's bootstrap probe or SCAT's recovery heuristics).
-	Frame int
-	// Estimate is the reader's running estimate of the total population
-	// after the update.
-	Estimate float64
-	// FrameEst is the raw single-frame estimate that produced the update
-	// (0 when the update did not come from a frame inversion).
-	FrameEst float64
-	// Identified is the unique-ID count at the time of the update.
-	Identified int
-	// At is the simulated air time of the update.
-	At time.Duration
-}
-
-// ArrivalEvent reports a tag entering the reader field. Only dynamic
-// workloads (see internal/workload) emit it; batch runs over a frozen
-// population never do.
-type ArrivalEvent struct {
-	// ID is the arriving tag.
-	ID tagid.ID
-	// At is the simulated air time of the arrival.
-	At time.Duration
-	// Active is the present (admitted and not departed) population size
-	// after the admission.
-	Active int
-}
-
-// DepartureEvent reports a tag leaving the reader field.
-type DepartureEvent struct {
-	// ID is the departing tag.
-	ID tagid.ID
-	// At is the simulated air time of the departure.
-	At time.Duration
-	// Identified is true when the reader had collected the tag's ID before
-	// it left; false marks a missed read (departed unread).
-	Identified bool
-}
-
-// CheckpointEvent reports a session snapshot being taken (see
-// protocol.Session.Snapshot).
-type CheckpointEvent struct {
-	// Seq is the 0-based checkpoint counter within the session.
-	Seq int
-	// At is the simulated air time of the checkpoint.
-	At time.Duration
-	// Active is the present population size at the checkpoint.
-	Active int
-	// Identified is the unique-ID count at the checkpoint.
-	Identified int
 }
 
 // FaultKind classifies an injected fault (see internal/fault).
@@ -316,45 +113,6 @@ func (k FaultKind) String() string {
 	}
 }
 
-// FaultEvent reports one injected fault taking effect. Only runs with a
-// fault configuration emit it; fault-free runs produce byte-identical
-// traces to a build without the injector.
-type FaultEvent struct {
-	// Slot is the sequence number of the affected slot; for ack-loss it is
-	// instead the ordinal of the dropped acknowledgement within the run.
-	Slot uint64
-	// Kind is the fault shape that fired.
-	Kind FaultKind
-	// ID is the affected tag where one is identifiable (mute, stuck,
-	// ack-loss); the zero ID for slot-scoped faults.
-	ID tagid.ID
-}
-
-// QuarantineEvent reports the hardened record store evicting a poisoned
-// collision record instead of propagating its garbage (see record.Store).
-type QuarantineEvent struct {
-	// Slot is the quarantined record's slot index.
-	Slot uint64
-	// Reason is "crc" when a decode produced an invalid ID, "residual" when
-	// the residual-energy guard declared the record unrecoverable.
-	Reason string
-	// Members is the record's multiplicity; the surviving unidentified
-	// members fall back to plain re-query.
-	Members int
-}
-
-// RestartEvent reports the chaos harness crash-restarting the reader from
-// its last session checkpoint (see sim.RunChaos).
-type RestartEvent struct {
-	// Wall is the monotone executed-slot count at the crash (never rewound
-	// by the restore).
-	Wall uint64
-	// At is the simulated air time the restored checkpoint rewinds to.
-	At time.Duration
-	// Checkpoint is the sequence number of the checkpoint restored.
-	Checkpoint int
-}
-
 // FleetKind classifies multi-reader scheduler activity (see internal/fleet).
 type FleetKind uint8
 
@@ -384,218 +142,150 @@ func (k FleetKind) String() string {
 	}
 }
 
-// FleetEvent reports multi-reader scheduler activity: policy slot denials,
-// reader-to-reader interference, and inter-zone tag migrations. Only fleet
-// runs (see internal/fleet) emit it; single-reader campaigns produce
-// byte-identical traces to earlier releases.
-type FleetEvent struct {
-	// Reader is the index of the reader the activity belongs to.
-	Reader int
-	// Zone is the zone of the activity; for migrations it is the
-	// destination zone.
-	Zone int
-	// Kind is the activity class.
-	Kind FleetKind
-	// ID is the migrating tag; the zero ID for slot-scoped activity.
-	ID tagid.ID
-	// From is the migration's source zone; -1 for slot-scoped activity.
-	From int
-	// At is the fleet's wall-clock simulated time of the activity (readers
-	// whose policy defers transmissions accumulate less air time than wall
-	// time, so this is distinct from the reader-stream At stamps).
+// EventKind names one kind of event in the stream. Every kind shares the
+// Event layout; the fields a kind does not list stay zero. The payload of
+// each kind (the JSONL event name in parentheses):
+//
+//	RunStart (run_start)          Label=protocol N1=population
+//	RunEnd (run_end)              Label=protocol Err=run error ("" on success)
+//	                              Seq=slots N1=frames N2=direct IDs
+//	                              N3=resolved IDs At=air time at finish
+//	FrameStart (frame)            Seq=first slot N1=frame number (1-based)
+//	                              N2=frame size F1=report probability (0 for
+//	                              frame-ALOHA protocols) At
+//	Advertisement (advert)        Seq=advertised slot F1=report probability At
+//	SlotDone (slot)               Seq Sub=channel.Kind observed N1=transmitters
+//	                              (ground truth) N2=identified so far
+//	                              At=after the slot's acks and resolution work
+//	TagIdentified (identify)      ID Flag=via resolution At
+//	AckSent (ack)                 Seq=slot acknowledged ID Sub=AckKind
+//	                              Flag=delivered At
+//	RecordCreated (record)        Seq=record slot index N1=multiplicity
+//	                              N2=members still unknown when stored
+//	CascadeStep (cascade)         ID=tag subtracted N1=records it touched
+//	                              N2=depth (0 for the starting identification)
+//	RecordResolved (resolve)      Seq=record slot index ID=recovered tag
+//	                              ID2=trigger (zero when resolved as stored)
+//	                              N1=depth Flag=dup (residual already known)
+//	EstimatorUpdate (estimate)    N1=frame (0 outside frames) N2=identified
+//	                              F1=population estimate F2=single-frame
+//	                              estimate (0 when not from a frame) At
+//	TagArrival (arrival)          ID N1=present population after admission At
+//	TagDeparture (departure)      ID Flag=identified before leaving At
+//	SessionCheckpoint (checkpoint) Seq=checkpoint counter N1=present
+//	                              population N2=identified At
+//	FaultInjected (fault)         Seq=slot (the dropped ack's ordinal for
+//	                              ack loss) Sub=FaultKind ID=affected tag
+//	                              (zero for slot-scoped faults)
+//	RecordQuarantined (quarantine) Seq=record slot index Label=reason ("crc"
+//	                              or "residual") N1=record multiplicity
+//	ReaderRestart (restart)       Seq=wall slots executed N1=checkpoint
+//	                              restored At=air time it rewinds to
+//	FleetActivity (fleet)         N1=reader N2=zone (destination for
+//	                              migrations) N3=source zone (-1 unless a
+//	                              migration) Sub=FleetKind ID=migrating tag
+//	                              At=fleet wall-clock time
+//
+// Only dynamic workloads emit arrivals, departures and checkpoints; only
+// runs with a fault configuration emit faults, quarantines and restarts;
+// only fleet runs emit fleet activity.
+//
+// Adding a kind costs one constant here, one payload row above, one name
+// in eventNames and one case in JSONL.Emit (the other consumers ignore
+// kinds they do not use); TestEventKindCoverage checks every kind.
+type EventKind uint8
+
+const (
+	RunStart EventKind = iota + 1
+	RunEnd
+	FrameStart
+	Advertisement
+	SlotDone
+	TagIdentified
+	AckSent
+	RecordCreated
+	CascadeStep
+	RecordResolved
+	EstimatorUpdate
+	TagArrival
+	TagDeparture
+	SessionCheckpoint
+	FaultInjected
+	RecordQuarantined
+	ReaderRestart
+	FleetActivity
+)
+
+// eventNames backs String; the names double as JSONL "ev" values.
+var eventNames = [...]string{
+	RunStart:          "run_start",
+	RunEnd:            "run_end",
+	FrameStart:        "frame",
+	Advertisement:     "advert",
+	SlotDone:          "slot",
+	TagIdentified:     "identify",
+	AckSent:           "ack",
+	RecordCreated:     "record",
+	CascadeStep:       "cascade",
+	RecordResolved:    "resolve",
+	EstimatorUpdate:   "estimate",
+	TagArrival:        "arrival",
+	TagDeparture:      "departure",
+	SessionCheckpoint: "checkpoint",
+	FaultInjected:     "fault",
+	RecordQuarantined: "quarantine",
+	ReaderRestart:     "restart",
+	FleetActivity:     "fleet",
+}
+
+// String returns the event-kind name, the JSONL "ev" value.
+func (k EventKind) String() string {
+	if int(k) < len(eventNames) && eventNames[k] != "" {
+		return eventNames[k]
+	}
+	return "unknown"
+}
+
+// Event is one entry of the stream: a kind, a simulated-time stamp and a
+// small fixed payload whose meaning per kind is listed on EventKind. It
+// holds no pointers beyond its two strings, so passing it by value through
+// a Tracer allocates nothing.
+type Event struct {
+	Kind EventKind
+	// Sub is the kind's classifier: a channel.Kind, AckKind, FaultKind or
+	// FleetKind.
+	Sub uint8
+	// Flag is the kind's boolean.
+	Flag bool
+	// At is the simulated air time of the event (0 for record-store
+	// events, which carry no timestamp of their own).
 	At time.Duration
+	// Seq is the kind's sequence number or slot index.
+	Seq        int
+	N1, N2, N3 int
+	F1, F2     float64
+	ID, ID2    tagid.ID
+	Label, Err string
 }
 
-// Tracer receives the typed event stream of a protocol run. Implementations
-// must tolerate events from any protocol (a DFSA run emits no record or
-// estimator events, a tree run emits only run/slot events, and so on).
-//
-// Embed NopTracer to implement only the methods you care about, or use
-// Hooks for a closure-based observer.
+// Tracer receives the event stream of a protocol run. Implementations must
+// tolerate every kind from any protocol (a DFSA run emits no record or
+// estimator events, a tree run emits only run/slot events, and so on) and
+// ignore the kinds they do not use.
 type Tracer interface {
-	RunStart(RunStartEvent)
-	RunEnd(RunEndEvent)
-	FrameStart(FrameEvent)
-	Advertisement(AdvertEvent)
-	SlotDone(SlotEvent)
-	TagIdentified(IdentifyEvent)
-	AckSent(AckEvent)
-	RecordCreated(RecordEvent)
-	CascadeStep(CascadeEvent)
-	RecordResolved(ResolveEvent)
-	EstimatorUpdate(EstimateEvent)
-	TagArrival(ArrivalEvent)
-	TagDeparture(DepartureEvent)
-	SessionCheckpoint(CheckpointEvent)
-	FaultInjected(FaultEvent)
-	RecordQuarantined(QuarantineEvent)
-	ReaderRestart(RestartEvent)
-	FleetActivity(FleetEvent)
+	Emit(Event)
 }
 
-// NopTracer implements Tracer with no-ops; embed it to build partial
-// tracers.
-type NopTracer struct{}
-
-var _ Tracer = NopTracer{}
-
-func (NopTracer) RunStart(RunStartEvent)            {}
-func (NopTracer) RunEnd(RunEndEvent)                {}
-func (NopTracer) FrameStart(FrameEvent)             {}
-func (NopTracer) Advertisement(AdvertEvent)         {}
-func (NopTracer) SlotDone(SlotEvent)                {}
-func (NopTracer) TagIdentified(IdentifyEvent)       {}
-func (NopTracer) AckSent(AckEvent)                  {}
-func (NopTracer) RecordCreated(RecordEvent)         {}
-func (NopTracer) CascadeStep(CascadeEvent)          {}
-func (NopTracer) RecordResolved(ResolveEvent)       {}
-func (NopTracer) EstimatorUpdate(EstimateEvent)     {}
-func (NopTracer) TagArrival(ArrivalEvent)           {}
-func (NopTracer) TagDeparture(DepartureEvent)       {}
-func (NopTracer) SessionCheckpoint(CheckpointEvent) {}
-func (NopTracer) FaultInjected(FaultEvent)          {}
-func (NopTracer) RecordQuarantined(QuarantineEvent) {}
-func (NopTracer) ReaderRestart(RestartEvent)        {}
-func (NopTracer) FleetActivity(FleetEvent)          {}
-
-// Hooks adapts plain functions into a Tracer; nil fields are skipped. It is
-// the quickest way to observe a run ad hoc:
+// Func adapts a plain function into a Tracer — the quickest way to observe
+// a run ad hoc:
 //
-//	env.Tracer = &obs.Hooks{
-//		OnRecordResolved: func(ev obs.ResolveEvent) { ... },
-//	}
-type Hooks struct {
-	OnRunStart        func(RunStartEvent)
-	OnRunEnd          func(RunEndEvent)
-	OnFrameStart      func(FrameEvent)
-	OnAdvertisement   func(AdvertEvent)
-	OnSlotDone        func(SlotEvent)
-	OnTagIdentified   func(IdentifyEvent)
-	OnAckSent         func(AckEvent)
-	OnRecordCreated   func(RecordEvent)
-	OnCascadeStep     func(CascadeEvent)
-	OnRecordResolved  func(ResolveEvent)
-	OnEstimatorUpdate func(EstimateEvent)
+//	env.Tracer = obs.Func(func(ev obs.Event) {
+//		if ev.Kind == obs.RecordResolved { ... }
+//	})
+type Func func(Event)
 
-	OnTagArrival        func(ArrivalEvent)
-	OnTagDeparture      func(DepartureEvent)
-	OnSessionCheckpoint func(CheckpointEvent)
-
-	OnFaultInjected     func(FaultEvent)
-	OnRecordQuarantined func(QuarantineEvent)
-	OnReaderRestart     func(RestartEvent)
-	OnFleetActivity     func(FleetEvent)
-}
-
-var _ Tracer = (*Hooks)(nil)
-
-func (h *Hooks) RunStart(ev RunStartEvent) {
-	if h.OnRunStart != nil {
-		h.OnRunStart(ev)
-	}
-}
-
-func (h *Hooks) RunEnd(ev RunEndEvent) {
-	if h.OnRunEnd != nil {
-		h.OnRunEnd(ev)
-	}
-}
-
-func (h *Hooks) FrameStart(ev FrameEvent) {
-	if h.OnFrameStart != nil {
-		h.OnFrameStart(ev)
-	}
-}
-
-func (h *Hooks) Advertisement(ev AdvertEvent) {
-	if h.OnAdvertisement != nil {
-		h.OnAdvertisement(ev)
-	}
-}
-
-func (h *Hooks) SlotDone(ev SlotEvent) {
-	if h.OnSlotDone != nil {
-		h.OnSlotDone(ev)
-	}
-}
-
-func (h *Hooks) TagIdentified(ev IdentifyEvent) {
-	if h.OnTagIdentified != nil {
-		h.OnTagIdentified(ev)
-	}
-}
-
-func (h *Hooks) AckSent(ev AckEvent) {
-	if h.OnAckSent != nil {
-		h.OnAckSent(ev)
-	}
-}
-
-func (h *Hooks) RecordCreated(ev RecordEvent) {
-	if h.OnRecordCreated != nil {
-		h.OnRecordCreated(ev)
-	}
-}
-
-func (h *Hooks) CascadeStep(ev CascadeEvent) {
-	if h.OnCascadeStep != nil {
-		h.OnCascadeStep(ev)
-	}
-}
-
-func (h *Hooks) RecordResolved(ev ResolveEvent) {
-	if h.OnRecordResolved != nil {
-		h.OnRecordResolved(ev)
-	}
-}
-
-func (h *Hooks) EstimatorUpdate(ev EstimateEvent) {
-	if h.OnEstimatorUpdate != nil {
-		h.OnEstimatorUpdate(ev)
-	}
-}
-
-func (h *Hooks) TagArrival(ev ArrivalEvent) {
-	if h.OnTagArrival != nil {
-		h.OnTagArrival(ev)
-	}
-}
-
-func (h *Hooks) TagDeparture(ev DepartureEvent) {
-	if h.OnTagDeparture != nil {
-		h.OnTagDeparture(ev)
-	}
-}
-
-func (h *Hooks) SessionCheckpoint(ev CheckpointEvent) {
-	if h.OnSessionCheckpoint != nil {
-		h.OnSessionCheckpoint(ev)
-	}
-}
-
-func (h *Hooks) FaultInjected(ev FaultEvent) {
-	if h.OnFaultInjected != nil {
-		h.OnFaultInjected(ev)
-	}
-}
-
-func (h *Hooks) RecordQuarantined(ev QuarantineEvent) {
-	if h.OnRecordQuarantined != nil {
-		h.OnRecordQuarantined(ev)
-	}
-}
-
-func (h *Hooks) ReaderRestart(ev RestartEvent) {
-	if h.OnReaderRestart != nil {
-		h.OnReaderRestart(ev)
-	}
-}
-
-func (h *Hooks) FleetActivity(ev FleetEvent) {
-	if h.OnFleetActivity != nil {
-		h.OnFleetActivity(ev)
-	}
-}
+// Emit implements Tracer.
+func (f Func) Emit(ev Event) { f(ev) }
 
 // Multi fans every event out to each tracer in order. Nil members are
 // skipped, so Multi(a, nil, b) is valid.
@@ -617,110 +307,8 @@ func Multi(tracers ...Tracer) Tracer {
 
 type multi []Tracer
 
-func (m multi) RunStart(ev RunStartEvent) {
+func (m multi) Emit(ev Event) {
 	for _, t := range m {
-		t.RunStart(ev)
-	}
-}
-
-func (m multi) RunEnd(ev RunEndEvent) {
-	for _, t := range m {
-		t.RunEnd(ev)
-	}
-}
-
-func (m multi) FrameStart(ev FrameEvent) {
-	for _, t := range m {
-		t.FrameStart(ev)
-	}
-}
-
-func (m multi) Advertisement(ev AdvertEvent) {
-	for _, t := range m {
-		t.Advertisement(ev)
-	}
-}
-
-func (m multi) SlotDone(ev SlotEvent) {
-	for _, t := range m {
-		t.SlotDone(ev)
-	}
-}
-
-func (m multi) TagIdentified(ev IdentifyEvent) {
-	for _, t := range m {
-		t.TagIdentified(ev)
-	}
-}
-
-func (m multi) AckSent(ev AckEvent) {
-	for _, t := range m {
-		t.AckSent(ev)
-	}
-}
-
-func (m multi) RecordCreated(ev RecordEvent) {
-	for _, t := range m {
-		t.RecordCreated(ev)
-	}
-}
-
-func (m multi) CascadeStep(ev CascadeEvent) {
-	for _, t := range m {
-		t.CascadeStep(ev)
-	}
-}
-
-func (m multi) RecordResolved(ev ResolveEvent) {
-	for _, t := range m {
-		t.RecordResolved(ev)
-	}
-}
-
-func (m multi) EstimatorUpdate(ev EstimateEvent) {
-	for _, t := range m {
-		t.EstimatorUpdate(ev)
-	}
-}
-
-func (m multi) TagArrival(ev ArrivalEvent) {
-	for _, t := range m {
-		t.TagArrival(ev)
-	}
-}
-
-func (m multi) TagDeparture(ev DepartureEvent) {
-	for _, t := range m {
-		t.TagDeparture(ev)
-	}
-}
-
-func (m multi) SessionCheckpoint(ev CheckpointEvent) {
-	for _, t := range m {
-		t.SessionCheckpoint(ev)
-	}
-}
-
-func (m multi) FaultInjected(ev FaultEvent) {
-	for _, t := range m {
-		t.FaultInjected(ev)
-	}
-}
-
-func (m multi) RecordQuarantined(ev QuarantineEvent) {
-	for _, t := range m {
-		t.RecordQuarantined(ev)
-	}
-}
-
-func (m multi) ReaderRestart(ev RestartEvent) {
-	for _, t := range m {
-		t.ReaderRestart(ev)
-	}
-}
-
-func (m multi) FleetActivity(ev FleetEvent) {
-	for _, t := range m {
-		t.FleetActivity(ev)
+		t.Emit(ev)
 	}
 }

@@ -20,26 +20,26 @@ func testID(b byte) tagid.ID {
 	return id
 }
 
-// emitOneOfEach drives every Tracer method once with distinctive values.
+// emitOneOfEach drives an 18-event run through t with distinctive values.
 func emitOneOfEach(t Tracer) {
-	t.RunStart(RunStartEvent{Protocol: "FCAT-2", Tags: 10})
-	t.FrameStart(FrameEvent{Seq: 0, Frame: 1, Size: 30, P: 0.25})
-	t.Advertisement(AdvertEvent{Seq: 0, P: 0.5})
-	t.SlotDone(SlotEvent{Seq: 0, Kind: channel.Collision, Transmitters: 3, Identified: 0})
-	t.RecordCreated(RecordEvent{Slot: 0, Multiplicity: 3, Unknown: 3})
-	t.SlotDone(SlotEvent{Seq: 1, Kind: channel.Singleton, Transmitters: 1, Identified: 1})
-	t.TagIdentified(IdentifyEvent{ID: testID(1)})
-	t.AckSent(AckEvent{Seq: 1, ID: testID(1), Kind: AckDirect, Delivered: true})
-	t.CascadeStep(CascadeEvent{ID: testID(1), Records: 1, Depth: 0})
-	t.RecordResolved(ResolveEvent{Slot: 0, ID: testID(2), Trigger: testID(1), Depth: 1})
-	t.TagIdentified(IdentifyEvent{ID: testID(2), ViaResolution: true})
-	t.AckSent(AckEvent{Seq: 1, ID: testID(2), Kind: AckResolvedIndex, Delivered: false})
-	t.SlotDone(SlotEvent{Seq: 2, Kind: channel.Empty, Transmitters: 0, Identified: 2})
-	t.EstimatorUpdate(EstimateEvent{Frame: 1, Estimate: 8.5, FrameEst: 7.0, Identified: 2})
-	t.TagArrival(ArrivalEvent{ID: testID(3), At: 5 * time.Millisecond, Active: 2})
-	t.SessionCheckpoint(CheckpointEvent{Seq: 0, At: 6 * time.Millisecond, Active: 2, Identified: 2})
-	t.TagDeparture(DepartureEvent{ID: testID(3), At: 9 * time.Millisecond, Identified: false})
-	t.RunEnd(RunEndEvent{Protocol: "FCAT-2", Slots: 3, Frames: 1, Direct: 1, Resolved: 1})
+	t.Emit(Event{Kind: RunStart, Label: "FCAT-2", N1: 10})
+	t.Emit(Event{Kind: FrameStart, Seq: 0, N1: 1, N2: 30, F1: 0.25})
+	t.Emit(Event{Kind: Advertisement, Seq: 0, F1: 0.5})
+	t.Emit(Event{Kind: SlotDone, Seq: 0, Sub: uint8(channel.Collision), N1: 3, N2: 0})
+	t.Emit(Event{Kind: RecordCreated, Seq: 0, N1: 3, N2: 3})
+	t.Emit(Event{Kind: SlotDone, Seq: 1, Sub: uint8(channel.Singleton), N1: 1, N2: 1})
+	t.Emit(Event{Kind: TagIdentified, ID: testID(1)})
+	t.Emit(Event{Kind: AckSent, Seq: 1, ID: testID(1), Sub: uint8(AckDirect), Flag: true})
+	t.Emit(Event{Kind: CascadeStep, ID: testID(1), N1: 1, N2: 0})
+	t.Emit(Event{Kind: RecordResolved, Seq: 0, ID: testID(2), ID2: testID(1), N1: 1})
+	t.Emit(Event{Kind: TagIdentified, ID: testID(2), Flag: true})
+	t.Emit(Event{Kind: AckSent, Seq: 1, ID: testID(2), Sub: uint8(AckResolvedIndex), Flag: false})
+	t.Emit(Event{Kind: SlotDone, Seq: 2, Sub: uint8(channel.Empty), N1: 0, N2: 2})
+	t.Emit(Event{Kind: EstimatorUpdate, N1: 1, F1: 8.5, F2: 7.0, N2: 2})
+	t.Emit(Event{Kind: TagArrival, ID: testID(3), At: 5 * time.Millisecond, N1: 2})
+	t.Emit(Event{Kind: SessionCheckpoint, Seq: 0, At: 6 * time.Millisecond, N1: 2, N2: 2})
+	t.Emit(Event{Kind: TagDeparture, ID: testID(3), At: 9 * time.Millisecond, Flag: false})
+	t.Emit(Event{Kind: RunEnd, Label: "FCAT-2", Seq: 3, N1: 1, N2: 1, N3: 1})
 }
 
 func TestMetricsTracerCounts(t *testing.T) {
@@ -87,8 +87,8 @@ func TestMetricsTracerCounts(t *testing.T) {
 func TestMetricsTracerFailedRun(t *testing.T) {
 	reg := NewRegistry()
 	mt := NewMetricsTracer(reg)
-	mt.RunStart(RunStartEvent{Protocol: "X", Tags: 1})
-	mt.RunEnd(RunEndEvent{Protocol: "X", Err: "boom"})
+	mt.Emit(Event{Kind: RunStart, Label: "X", N1: 1})
+	mt.Emit(Event{Kind: RunEnd, Label: "X", Err: "boom"})
 	if got := reg.Value(MetricRunsFailed); got != 1 {
 		t.Errorf("runs.failed = %d, want 1", got)
 	}
@@ -271,12 +271,16 @@ func TestTimelineRenders(t *testing.T) {
 	}
 }
 
-func TestHooksAndMulti(t *testing.T) {
+func TestFuncAndMulti(t *testing.T) {
 	var slots, resolves int
-	h := &Hooks{
-		OnSlotDone:       func(SlotEvent) { slots++ },
-		OnRecordResolved: func(ResolveEvent) { resolves++ },
-	}
+	h := Func(func(ev Event) {
+		switch ev.Kind {
+		case SlotDone:
+			slots++
+		case RecordResolved:
+			resolves++
+		}
+	})
 	reg := NewRegistry()
 	m := Multi(nil, h, NewMetricsTracer(reg))
 	emitOneOfEach(m)
@@ -286,13 +290,13 @@ func TestHooksAndMulti(t *testing.T) {
 	if got := reg.Value(MetricSlotsCollision); got != 1 {
 		t.Errorf("multi did not reach metrics tracer: collisions %d", got)
 	}
-	// Hooks with all-nil fields must accept the full stream.
-	emitOneOfEach(&Hooks{})
 	// Multi with zero or one live tracer collapses.
 	if Multi() != nil || Multi(nil) != nil {
 		t.Error("Multi of no tracers should be nil")
 	}
-	if Multi(h) != Tracer(h) {
+	// Func values are not comparable; a *Buffer is.
+	single := &Buffer{}
+	if Multi(nil, single) != Tracer(single) {
 		t.Error("Multi of one tracer should be that tracer")
 	}
 }

@@ -1,13 +1,11 @@
-// Server-plane observability: the metric families and typed events of the
-// inventory session server (internal/server, cmd/rfidserver). The server
-// reuses the campaign observability plane — its per-session protocol
-// events flow through MetricsTracer into the same Registry, and /metrics
-// is WritePrometheus over that registry — so these names cover only what
-// the campaign plane cannot see: the HTTP request ladder, the durable
+// Server-plane observability: the metric families of the inventory session
+// server (internal/server, cmd/rfidserver). The server reuses the campaign
+// observability plane — its per-session protocol events flow through
+// MetricsTracer into the same Registry, and /metrics is WritePrometheus
+// over that registry — so these names cover only what the campaign plane
+// cannot see: the HTTP request ladder, the durable
 // checkpoint store, startup recovery and lifecycle evictions.
 package obs
-
-import "time"
 
 // Registry names of the server plane. WritePrometheus exposes them under
 // the rfid_ namespace with '.' mangled to '_' (for example
@@ -47,89 +45,3 @@ const (
 	MetricServerDupIdents = "server.invariant.dup_idents"
 	MetricServerPhantoms  = "server.invariant.phantoms"
 )
-
-// ServerRequestEvent is one API request's outcome.
-type ServerRequestEvent struct {
-	// Op is the request kind: "create", "step", "admit", "revoke",
-	// "snapshot", "status", "list", "delete", "idents".
-	Op string
-	// Session is the target session ID ("" for list).
-	Session string
-	// Status is the HTTP status served.
-	Status int
-}
-
-// ServerRecoveryEvent is one session's fate during the startup recovery
-// scan.
-type ServerRecoveryEvent struct {
-	// Session is the session ID (or the file path when no record
-	// decoded).
-	Session string
-	// Steps is the replayed step count (recovered sessions only).
-	Steps uint64
-	// Quarantined reports the checkpoint was set aside instead of
-	// recovered; Err carries the typed reason.
-	Quarantined bool
-	Err         string
-}
-
-// ServerEvictEvent is one idle session passivated to its checkpoint.
-type ServerEvictEvent struct {
-	Session string
-	// Idle is how long the session sat untouched.
-	Idle time.Duration
-}
-
-// ServerSink receives server-plane events. Implementations must tolerate
-// concurrent calls from the HTTP layer and the shard workers.
-type ServerSink interface {
-	ServerRequest(ServerRequestEvent)
-	ServerRecovery(ServerRecoveryEvent)
-	ServerEvict(ServerEvictEvent)
-}
-
-// serverMetrics folds server events into a Registry — the ServerSink
-// analogue of MetricsTracer.
-type serverMetrics struct {
-	requests, requestErrors          *Counter
-	recovered, quarantined, replayed *Counter
-	scanned                          *Counter
-	evictions                        *Counter
-}
-
-// NewServerMetrics returns a ServerSink that folds events into reg's
-// server.* families. Counters are registered eagerly so /metrics exposes
-// zero-valued families from the first scrape — a recovery pass that
-// quarantined nothing still reports rfid_server_recovery_quarantined_total 0.
-func NewServerMetrics(reg *Registry) ServerSink {
-	return &serverMetrics{
-		requests:      reg.Counter(MetricServerRequests),
-		requestErrors: reg.Counter(MetricServerRequestErrors),
-		scanned:       reg.Counter(MetricServerRecoveryScanned),
-		recovered:     reg.Counter(MetricServerRecoveryRecovered),
-		quarantined:   reg.Counter(MetricServerRecoveryQuarantined),
-		replayed:      reg.Counter(MetricServerRecoveryReplayedSteps),
-		evictions:     reg.Counter(MetricServerEvictIdle),
-	}
-}
-
-func (m *serverMetrics) ServerRequest(ev ServerRequestEvent) {
-	m.requests.Inc()
-	if ev.Status >= 500 {
-		m.requestErrors.Inc()
-	}
-}
-
-func (m *serverMetrics) ServerRecovery(ev ServerRecoveryEvent) {
-	m.scanned.Inc()
-	if ev.Quarantined {
-		m.quarantined.Inc()
-		return
-	}
-	m.recovered.Inc()
-	m.replayed.Add(int64(ev.Steps))
-}
-
-func (m *serverMetrics) ServerEvict(ServerEvictEvent) {
-	m.evictions.Inc()
-}

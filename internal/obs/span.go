@@ -156,8 +156,6 @@ type SpanBuilder struct {
 	pendHi    time.Duration
 }
 
-var _ Tracer = (*SpanBuilder)(nil)
-
 // NewSpanBuilder returns a builder emitting into sink.
 func NewSpanBuilder(sink SpanSink) *SpanBuilder {
 	b := &SpanBuilder{sink: sink, run: -1, nextID: 1}
@@ -214,8 +212,11 @@ func (b *SpanBuilder) openPending() {
 	if b.frameSpan.ID != 0 && start < b.frameSpan.Start {
 		start = b.frameSpan.Start // post-restart rewind clamp
 	}
-	b.pendSpan = Span{ID: b.id(), Parent: b.parentOfPending(), Kind: SpanSlot,
-		Run: b.run, Seq: -1, Start: start}
+	// Assigned field by field: a composite literal would build a temporary
+	// Span and copy it, a cost BenchmarkSpanEmit sees on every slot.
+	p := &b.pendSpan
+	p.ID, p.Parent, p.Kind, p.Run, p.Seq = b.id(), b.parentOfPending(), SpanSlot, b.run, -1
+	p.Start, p.End, p.Label, p.N1, p.N2 = start, 0, "", 0, 0
 	b.pendHi = start
 	b.pendSlots = 0
 }
@@ -237,13 +238,12 @@ func (b *SpanBuilder) closePending() {
 	if b.pendSpan.ID == 0 {
 		return
 	}
-	sp := b.pendSpan
 	if b.pendSlots == 0 {
-		sp.Kind = SpanResolution
+		b.pendSpan.Kind = SpanResolution
 	}
-	sp.End = b.pendHi
-	b.pendSpan = Span{}
-	b.sink.EmitSpan(sp)
+	b.pendSpan.End = b.pendHi
+	b.sink.EmitSpan(b.pendSpan)
+	b.pendSpan.ID = 0 // closed; openPending rebuilds the whole span
 }
 
 // instant emits a point span at the cursor under the given parent.
@@ -277,156 +277,107 @@ func (b *SpanBuilder) closeRun() {
 	b.sink.EmitSpan(sp)
 }
 
-// RunStart implements Tracer.
-func (b *SpanBuilder) RunStart(ev RunStartEvent) {
-	b.closeRun()
-	b.run++
-	b.cursor = 0
-	b.runHi = 0
-	b.runSpan = Span{ID: b.id(), Parent: 1, Kind: SpanRun, Run: b.run, Seq: -1,
-		Label: ev.Protocol, N1: ev.Tags}
-	b.runOpen = true
-}
-
-// RunEnd implements Tracer.
-func (b *SpanBuilder) RunEnd(ev RunEndEvent) {
-	b.advance(ev.At)
-	b.closeRun()
-}
-
-// FrameStart implements Tracer.
-func (b *SpanBuilder) FrameStart(ev FrameEvent) {
-	b.closePending()
-	b.closeFrame()
-	start := b.cursor
-	b.advance(ev.At)
-	b.frameSpan = Span{ID: b.id(), Parent: b.parentOfPending(), Kind: SpanFrame,
-		Run: b.run, Seq: ev.Seq, Start: start, N1: ev.Frame, N2: ev.Size}
-	b.frameHi = b.cursor
-}
-
-// Advertisement implements Tracer: a per-slot advertisement opens the slot
-// it pays for (any frame-end decode work still pending closes first).
-func (b *SpanBuilder) Advertisement(ev AdvertEvent) {
-	b.closePending()
-	b.openPending()
-	b.advance(ev.At)
-	b.instant(SpanAdvert, b.pendSpan.ID, ev.Seq, 0, 0)
-}
-
-// SlotDone implements Tracer: it closes the pending slot span (opening one
-// retroactively for slots with no inner events, e.g. empty slots).
-func (b *SpanBuilder) SlotDone(ev SlotEvent) {
-	b.openPending()
-	b.advance(ev.At)
-	b.pendSpan.Seq = ev.Seq
-	b.pendSpan.N1 = int(ev.Kind)
-	b.pendSpan.N2 = ev.Transmitters
-	b.pendSlots++
-	b.closePending()
-}
-
-// TagIdentified implements Tracer.
-func (b *SpanBuilder) TagIdentified(ev IdentifyEvent) {
-	b.openPending()
-	b.advance(ev.At)
-	via := 0
-	if ev.ViaResolution {
-		via = 1
+// Emit implements Tracer.
+func (b *SpanBuilder) Emit(ev Event) {
+	switch ev.Kind {
+	case RunStart:
+		b.closeRun()
+		b.run++
+		b.cursor = 0
+		b.runHi = 0
+		b.runSpan = Span{ID: b.id(), Parent: 1, Kind: SpanRun, Run: b.run, Seq: -1,
+			Label: ev.Label, N1: ev.N1}
+		b.runOpen = true
+	case RunEnd:
+		b.advance(ev.At)
+		b.closeRun()
+	case FrameStart:
+		b.closePending()
+		b.closeFrame()
+		start := b.cursor
+		b.advance(ev.At)
+		b.frameSpan = Span{ID: b.id(), Parent: b.parentOfPending(), Kind: SpanFrame,
+			Run: b.run, Seq: ev.Seq, Start: start, N1: ev.N1, N2: ev.N2}
+		b.frameHi = b.cursor
+	case Advertisement:
+		// A per-slot advertisement opens the slot it pays for (any
+		// frame-end decode work still pending closes first).
+		b.closePending()
+		b.openPending()
+		b.advance(ev.At)
+		b.instant(SpanAdvert, b.pendSpan.ID, ev.Seq, 0, 0)
+	case SlotDone:
+		// Close the pending slot span, opening one retroactively for
+		// slots with no inner events (e.g. empty slots).
+		b.openPending()
+		b.advance(ev.At)
+		b.pendSpan.Seq = ev.Seq
+		b.pendSpan.N1 = int(ev.Sub)
+		b.pendSpan.N2 = ev.N1
+		b.pendSlots++
+		b.closePending()
+	case TagIdentified:
+		b.openPending()
+		b.advance(ev.At)
+		b.instant(SpanIdentify, b.pendSpan.ID, -1, bit(ev.Flag), 0)
+	case AckSent:
+		b.openPending()
+		b.advance(ev.At)
+		b.instant(SpanAck, b.pendSpan.ID, ev.Seq, int(ev.Sub), bit(ev.Flag))
+	case RecordCreated:
+		// Record-store events carry no timestamp; they are stamped at the
+		// cursor, the time of the slot that produced them.
+		b.openPending()
+		b.instant(SpanRecord, b.pendSpan.ID, -1, ev.N1, ev.N2)
+	case CascadeStep:
+		b.openPending()
+		b.instant(SpanCascade, b.pendSpan.ID, -1, ev.N1, ev.N2)
+	case RecordResolved:
+		b.openPending()
+		b.instant(SpanResolve, b.pendSpan.ID, -1, ev.N1, bit(ev.Flag))
+	case EstimatorUpdate:
+		// Estimates close the frame-end decode phase (they are computed
+		// from the finished frame, not from a slot).
+		b.closePending()
+		b.advance(ev.At)
+		b.instant(SpanEstimate, b.parent(), -1, int(ev.F1+0.5), ev.N2)
+	case TagArrival:
+		b.advance(ev.At)
+		b.instant(SpanArrival, b.runParent(), -1, ev.N1, 0)
+	case TagDeparture:
+		b.advance(ev.At)
+		b.instant(SpanDeparture, b.runParent(), -1, bit(ev.Flag), 0)
+	case SessionCheckpoint:
+		b.advance(ev.At)
+		b.instant(SpanCheckpoint, b.runParent(), ev.Seq, ev.N1, ev.N2)
+	case FaultInjected:
+		// Faults fire mid-slot, so they nest under the open slot when
+		// there is one.
+		b.instant(SpanFault, b.parent(), -1, int(ev.Sub), 0)
+	case RecordQuarantined:
+		b.instant(SpanQuarantine, b.parent(), -1, ev.N1, 0)
+	case ReaderRestart:
+		// A crash-restart rewinds the cursor to the restored checkpoint's
+		// simulated time (the one place time moves backwards); high-water
+		// marks keep already-closed spans consistent.
+		b.closePending()
+		b.cursor = ev.At
+		b.instant(SpanRestart, b.runParent(), ev.N1, ev.Seq, 0)
+	case FleetActivity:
+		// Fleet-scheduler instants carry a wall-clock timestamp that can
+		// run ahead of the reader's air clock, so they are stamped at the
+		// cursor (like record-store events) rather than advancing it. Seq
+		// carries the reader index.
+		b.instant(SpanFleet, b.parent(), ev.N1, int(ev.Sub), ev.N2)
 	}
-	b.instant(SpanIdentify, b.pendSpan.ID, -1, via, 0)
 }
 
-// AckSent implements Tracer.
-func (b *SpanBuilder) AckSent(ev AckEvent) {
-	b.openPending()
-	b.advance(ev.At)
-	delivered := 0
-	if ev.Delivered {
-		delivered = 1
+// bit converts a flag to the 0/1 span payload.
+func bit(f bool) int {
+	if f {
+		return 1
 	}
-	b.instant(SpanAck, b.pendSpan.ID, ev.Seq, int(ev.Kind), delivered)
-}
-
-// RecordCreated implements Tracer. Record-store events carry no timestamp;
-// they are stamped at the cursor, the time of the slot that produced them.
-func (b *SpanBuilder) RecordCreated(ev RecordEvent) {
-	b.openPending()
-	b.instant(SpanRecord, b.pendSpan.ID, -1, ev.Multiplicity, ev.Unknown)
-}
-
-// CascadeStep implements Tracer.
-func (b *SpanBuilder) CascadeStep(ev CascadeEvent) {
-	b.openPending()
-	b.instant(SpanCascade, b.pendSpan.ID, -1, ev.Records, ev.Depth)
-}
-
-// RecordResolved implements Tracer.
-func (b *SpanBuilder) RecordResolved(ev ResolveEvent) {
-	b.openPending()
-	dup := 0
-	if ev.Dup {
-		dup = 1
-	}
-	b.instant(SpanResolve, b.pendSpan.ID, -1, ev.Depth, dup)
-}
-
-// EstimatorUpdate implements Tracer: estimates close the frame-end decode
-// phase (they are computed from the finished frame, not from a slot).
-func (b *SpanBuilder) EstimatorUpdate(ev EstimateEvent) {
-	b.closePending()
-	b.advance(ev.At)
-	b.instant(SpanEstimate, b.parent(), -1, int(ev.Estimate+0.5), ev.Identified)
-}
-
-// TagArrival implements Tracer.
-func (b *SpanBuilder) TagArrival(ev ArrivalEvent) {
-	b.advance(ev.At)
-	b.instant(SpanArrival, b.runParent(), -1, ev.Active, 0)
-}
-
-// TagDeparture implements Tracer.
-func (b *SpanBuilder) TagDeparture(ev DepartureEvent) {
-	b.advance(ev.At)
-	identified := 0
-	if ev.Identified {
-		identified = 1
-	}
-	b.instant(SpanDeparture, b.runParent(), -1, identified, 0)
-}
-
-// SessionCheckpoint implements Tracer.
-func (b *SpanBuilder) SessionCheckpoint(ev CheckpointEvent) {
-	b.advance(ev.At)
-	b.instant(SpanCheckpoint, b.runParent(), ev.Seq, ev.Active, ev.Identified)
-}
-
-// FaultInjected implements Tracer: faults fire mid-slot, so they nest under
-// the open slot when there is one.
-func (b *SpanBuilder) FaultInjected(ev FaultEvent) {
-	b.instant(SpanFault, b.parent(), -1, int(ev.Kind), 0)
-}
-
-// RecordQuarantined implements Tracer.
-func (b *SpanBuilder) RecordQuarantined(ev QuarantineEvent) {
-	b.instant(SpanQuarantine, b.parent(), -1, ev.Members, 0)
-}
-
-// ReaderRestart implements Tracer: a crash-restart rewinds the cursor to
-// the restored checkpoint's simulated time (the one place time moves
-// backwards); high-water marks keep already-closed spans consistent.
-func (b *SpanBuilder) ReaderRestart(ev RestartEvent) {
-	b.closePending()
-	b.cursor = ev.At
-	b.instant(SpanRestart, b.runParent(), ev.Checkpoint, int(ev.Wall), 0)
-}
-
-// FleetActivity implements Tracer: fleet-scheduler instants carry a
-// wall-clock timestamp that can run ahead of the reader's air clock, so
-// they are stamped at the builder's cursor (like record-store events)
-// rather than advancing it. Seq carries the reader index.
-func (b *SpanBuilder) FleetActivity(ev FleetEvent) {
-	b.instant(SpanFleet, b.parent(), ev.Reader, int(ev.Kind), ev.Zone)
+	return 0
 }
 
 // runParent returns the run span's ID (workload-level events never nest

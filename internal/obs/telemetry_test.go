@@ -15,20 +15,20 @@ import (
 // with a resolution), then frame-end decode work and a run end.
 func feedSyntheticRun(tr Tracer) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	tr.RunStart(RunStartEvent{Protocol: "SYN", Tags: 3})
-	tr.FrameStart(FrameEvent{Seq: 0, Frame: 1, Size: 3, At: ms(1)})
-	tr.SlotDone(SlotEvent{Seq: 0, Kind: channel.Empty, At: ms(2)})
-	tr.TagIdentified(IdentifyEvent{At: ms(3)})
-	tr.AckSent(AckEvent{Seq: 1, Kind: AckDirect, Delivered: true, At: ms(3)})
-	tr.SlotDone(SlotEvent{Seq: 1, Kind: channel.Singleton, Transmitters: 1, Identified: 1, At: ms(3)})
-	tr.RecordCreated(RecordEvent{Slot: 2, Multiplicity: 2, Unknown: 1})
-	tr.SlotDone(SlotEvent{Seq: 2, Kind: channel.Collision, Transmitters: 2, Identified: 1, At: ms(4)})
+	tr.Emit(Event{Kind: RunStart, Label: "SYN", N1: 3})
+	tr.Emit(Event{Kind: FrameStart, Seq: 0, N1: 1, N2: 3, At: ms(1)})
+	tr.Emit(Event{Kind: SlotDone, Seq: 0, Sub: uint8(channel.Empty), At: ms(2)})
+	tr.Emit(Event{Kind: TagIdentified, At: ms(3)})
+	tr.Emit(Event{Kind: AckSent, Seq: 1, Sub: uint8(AckDirect), Flag: true, At: ms(3)})
+	tr.Emit(Event{Kind: SlotDone, Seq: 1, Sub: uint8(channel.Singleton), N1: 1, N2: 1, At: ms(3)})
+	tr.Emit(Event{Kind: RecordCreated, Seq: 2, N1: 2, N2: 1})
+	tr.Emit(Event{Kind: SlotDone, Seq: 2, Sub: uint8(channel.Collision), N1: 2, N2: 1, At: ms(4)})
 	// Frame-end resolution phase: cascade work after the last slot.
-	tr.CascadeStep(CascadeEvent{Records: 1, Depth: 0})
-	tr.RecordResolved(ResolveEvent{Slot: 2, Depth: 1})
-	tr.TagIdentified(IdentifyEvent{ViaResolution: true, At: ms(5)})
-	tr.EstimatorUpdate(EstimateEvent{Frame: 1, Estimate: 3, Identified: 2, At: ms(5)})
-	tr.RunEnd(RunEndEvent{Protocol: "SYN", Slots: 3, At: ms(6)})
+	tr.Emit(Event{Kind: CascadeStep, N1: 1, N2: 0})
+	tr.Emit(Event{Kind: RecordResolved, Seq: 2, N1: 1})
+	tr.Emit(Event{Kind: TagIdentified, Flag: true, At: ms(5)})
+	tr.Emit(Event{Kind: EstimatorUpdate, N1: 1, F1: 3, N2: 2, At: ms(5)})
+	tr.Emit(Event{Kind: RunEnd, Label: "SYN", Seq: 3, At: ms(6)})
 }
 
 // TestSpanBuilderHierarchy checks the span stream of the synthetic run:
@@ -107,14 +107,14 @@ func TestSpanBuilderRestartRewind(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	var spans []Span
 	b := NewSpanBuilder(SpanSinkFunc(func(s Span) { spans = append(spans, s) }))
-	b.RunStart(RunStartEvent{Protocol: "SYN", Tags: 2})
-	b.SlotDone(SlotEvent{Seq: 0, Kind: channel.Collision, Transmitters: 2, At: ms(10)})
-	b.SessionCheckpoint(CheckpointEvent{Seq: 0, At: ms(10)})
-	b.SlotDone(SlotEvent{Seq: 1, Kind: channel.Collision, Transmitters: 2, At: ms(20)})
-	b.FaultInjected(FaultEvent{Kind: FaultCrash})
-	b.ReaderRestart(RestartEvent{Wall: 2, At: ms(10), Checkpoint: 0})
-	b.SlotDone(SlotEvent{Seq: 1, Kind: channel.Singleton, Transmitters: 1, At: ms(20)})
-	b.RunEnd(RunEndEvent{At: ms(20)})
+	b.Emit(Event{Kind: RunStart, Label: "SYN", N1: 2})
+	b.Emit(Event{Kind: SlotDone, Seq: 0, Sub: uint8(channel.Collision), N1: 2, At: ms(10)})
+	b.Emit(Event{Kind: SessionCheckpoint, Seq: 0, At: ms(10)})
+	b.Emit(Event{Kind: SlotDone, Seq: 1, Sub: uint8(channel.Collision), N1: 2, At: ms(20)})
+	b.Emit(Event{Kind: FaultInjected, Sub: uint8(FaultCrash)})
+	b.Emit(Event{Kind: ReaderRestart, Seq: 2, At: ms(10), N1: 0})
+	b.Emit(Event{Kind: SlotDone, Seq: 1, Sub: uint8(channel.Singleton), N1: 1, At: ms(20)})
+	b.Emit(Event{Kind: RunEnd, At: ms(20)})
 	b.Close()
 
 	byID := make(map[uint64]Span, len(spans))
@@ -322,11 +322,11 @@ func baseName(key string) string {
 // allocate on the per-slot path (the builder's state is flat structs).
 func TestSpanEmitNoAlloc(t *testing.T) {
 	b := NewSpanBuilder(SpanSinkFunc(func(Span) {}))
-	b.RunStart(RunStartEvent{Protocol: "SYN", Tags: 1})
+	b.Emit(Event{Kind: RunStart, Label: "SYN", N1: 1})
 	seq := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		b.TagIdentified(IdentifyEvent{At: time.Duration(seq) * time.Millisecond})
-		b.SlotDone(SlotEvent{Seq: seq, Kind: channel.Singleton, Transmitters: 1,
+		b.Emit(Event{Kind: TagIdentified, At: time.Duration(seq) * time.Millisecond})
+		b.Emit(Event{Kind: SlotDone, Seq: seq, Sub: uint8(channel.Singleton), N1: 1,
 			At: time.Duration(seq+1) * time.Millisecond})
 		seq++
 	})

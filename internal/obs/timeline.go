@@ -28,8 +28,6 @@ type Timeline struct {
 	err error
 }
 
-var _ Tracer = (*Timeline)(nil)
-
 // NewTimeline returns a timeline writer over w.
 func NewTimeline(w io.Writer) *Timeline {
 	return &Timeline{w: w}
@@ -43,32 +41,6 @@ func (t *Timeline) printf(format string, args ...any) {
 		return
 	}
 	_, t.err = fmt.Fprintf(t.w, format, args...)
-}
-
-func (t *Timeline) RunStart(ev RunStartEvent) {
-	t.printf("run %s tags=%d\n", ev.Protocol, ev.Tags)
-}
-
-func (t *Timeline) RunEnd(ev RunEndEvent) {
-	if ev.Err != "" {
-		t.printf("run end: %d slots, %d frames, %d direct + %d resolved, ERROR %s\n",
-			ev.Slots, ev.Frames, ev.Direct, ev.Resolved, ev.Err)
-		return
-	}
-	t.printf("run end: %d slots, %d frames, %d direct + %d resolved\n",
-		ev.Slots, ev.Frames, ev.Direct, ev.Resolved)
-}
-
-func (t *Timeline) FrameStart(ev FrameEvent) {
-	if ev.P > 0 {
-		t.printf("    frame %d size=%d p=%.5f\n", ev.Frame, ev.Size, ev.P)
-		return
-	}
-	t.printf("    frame %d size=%d\n", ev.Frame, ev.Size)
-}
-
-func (t *Timeline) Advertisement(ev AdvertEvent) {
-	t.printf("    advert p=%.5f\n", ev.P)
 }
 
 func glyph(k channel.Kind) byte {
@@ -86,83 +58,79 @@ func glyph(k channel.Kind) byte {
 	}
 }
 
-func (t *Timeline) SlotDone(ev SlotEvent) {
-	t.printf("[%04d] %c tx=%d identified=%d\n", ev.Seq, glyph(ev.Kind), ev.Transmitters, ev.Identified)
-}
-
-func (t *Timeline) TagIdentified(ev IdentifyEvent) {
-	how := "direct"
-	if ev.ViaResolution {
-		how = "resolved"
+// Emit implements Tracer: one line per event.
+func (t *Timeline) Emit(ev Event) {
+	switch ev.Kind {
+	case RunStart:
+		t.printf("run %s tags=%d\n", ev.Label, ev.N1)
+	case RunEnd:
+		if ev.Err != "" {
+			t.printf("run end: %d slots, %d frames, %d direct + %d resolved, ERROR %s\n",
+				ev.Seq, ev.N1, ev.N2, ev.N3, ev.Err)
+			return
+		}
+		t.printf("run end: %d slots, %d frames, %d direct + %d resolved\n",
+			ev.Seq, ev.N1, ev.N2, ev.N3)
+	case FrameStart:
+		if ev.F1 > 0 {
+			t.printf("    frame %d size=%d p=%.5f\n", ev.N1, ev.N2, ev.F1)
+			return
+		}
+		t.printf("    frame %d size=%d\n", ev.N1, ev.N2)
+	case Advertisement:
+		t.printf("    advert p=%.5f\n", ev.F1)
+	case SlotDone:
+		t.printf("[%04d] %c tx=%d identified=%d\n", ev.Seq, glyph(channel.Kind(ev.Sub)), ev.N1, ev.N2)
+	case TagIdentified:
+		how := "direct"
+		if ev.Flag {
+			how = "resolved"
+		}
+		t.printf("           identify %s (%s)\n", ev.ID, how)
+	case AckSent:
+		fate := "ok"
+		if !ev.Flag {
+			fate = "LOST"
+		}
+		t.printf("           ack %s %s %s\n", AckKind(ev.Sub), ev.ID, fate)
+	case RecordCreated:
+		t.printf("           record @%d mult=%d unknown=%d\n", ev.Seq, ev.N1, ev.N2)
+	case CascadeStep:
+		t.printf("           cascade %s -> %d records (depth %d)\n", ev.ID, ev.N1, ev.N2)
+	case RecordResolved:
+		if ev.Flag {
+			t.printf("           resolve @%d spent (residual %s already known)\n", ev.Seq, ev.ID)
+			return
+		}
+		t.printf("           resolve @%d -> %s (depth %d)\n", ev.Seq, ev.ID, ev.N1)
+	case EstimatorUpdate:
+		t.printf("    estimate %.1f (frame est %.1f, identified %d)\n", ev.F1, ev.F2, ev.N2)
+	case TagArrival:
+		t.printf("    arrive %s at %v (active %d)\n", ev.ID, ev.At, ev.N1)
+	case TagDeparture:
+		fate := "identified"
+		if !ev.Flag {
+			fate = "UNREAD"
+		}
+		t.printf("    depart %s at %v (%s)\n", ev.ID, ev.At, fate)
+	case SessionCheckpoint:
+		t.printf("    checkpoint %d at %v (active %d, identified %d)\n", ev.Seq, ev.At, ev.N1, ev.N2)
+	case FaultInjected:
+		if ev.ID == (tagid.ID{}) {
+			t.printf("           fault %s @%d\n", FaultKind(ev.Sub), ev.Seq)
+			return
+		}
+		t.printf("           fault %s @%d id=%s\n", FaultKind(ev.Sub), ev.Seq, ev.ID)
+	case RecordQuarantined:
+		t.printf("           quarantine @%d (%s, %d members)\n", ev.Seq, ev.Label, ev.N1)
+	case ReaderRestart:
+		t.printf("    RESTART at wall slot %d -> checkpoint %d (%v)\n", ev.Seq, ev.N1, ev.At)
+	case FleetActivity:
+		if FleetKind(ev.Sub) == FleetMigration {
+			t.printf("    fleet reader=%d migrate %s zone %d -> %d at %v\n",
+				ev.N1, ev.ID, ev.N3, ev.N2, ev.At)
+			return
+		}
+		t.printf("    fleet reader=%d zone=%d %s at %v\n", ev.N1, ev.N2, FleetKind(ev.Sub), ev.At)
 	}
-	t.printf("           identify %s (%s)\n", ev.ID, how)
-}
-
-func (t *Timeline) AckSent(ev AckEvent) {
-	fate := "ok"
-	if !ev.Delivered {
-		fate = "LOST"
-	}
-	t.printf("           ack %s %s %s\n", ev.Kind, ev.ID, fate)
-}
-
-func (t *Timeline) RecordCreated(ev RecordEvent) {
-	t.printf("           record @%d mult=%d unknown=%d\n", ev.Slot, ev.Multiplicity, ev.Unknown)
-}
-
-func (t *Timeline) CascadeStep(ev CascadeEvent) {
-	t.printf("           cascade %s -> %d records (depth %d)\n", ev.ID, ev.Records, ev.Depth)
-}
-
-func (t *Timeline) RecordResolved(ev ResolveEvent) {
-	if ev.Dup {
-		t.printf("           resolve @%d spent (residual %s already known)\n", ev.Slot, ev.ID)
-		return
-	}
-	t.printf("           resolve @%d -> %s (depth %d)\n", ev.Slot, ev.ID, ev.Depth)
-}
-
-func (t *Timeline) EstimatorUpdate(ev EstimateEvent) {
-	t.printf("    estimate %.1f (frame est %.1f, identified %d)\n", ev.Estimate, ev.FrameEst, ev.Identified)
-}
-
-func (t *Timeline) TagArrival(ev ArrivalEvent) {
-	t.printf("    arrive %s at %v (active %d)\n", ev.ID, ev.At, ev.Active)
-}
-
-func (t *Timeline) TagDeparture(ev DepartureEvent) {
-	fate := "identified"
-	if !ev.Identified {
-		fate = "UNREAD"
-	}
-	t.printf("    depart %s at %v (%s)\n", ev.ID, ev.At, fate)
-}
-
-func (t *Timeline) SessionCheckpoint(ev CheckpointEvent) {
-	t.printf("    checkpoint %d at %v (active %d, identified %d)\n", ev.Seq, ev.At, ev.Active, ev.Identified)
-}
-
-func (t *Timeline) FaultInjected(ev FaultEvent) {
-	if ev.ID == (tagid.ID{}) {
-		t.printf("           fault %s @%d\n", ev.Kind, ev.Slot)
-		return
-	}
-	t.printf("           fault %s @%d id=%s\n", ev.Kind, ev.Slot, ev.ID)
-}
-
-func (t *Timeline) RecordQuarantined(ev QuarantineEvent) {
-	t.printf("           quarantine @%d (%s, %d members)\n", ev.Slot, ev.Reason, ev.Members)
-}
-
-func (t *Timeline) ReaderRestart(ev RestartEvent) {
-	t.printf("    RESTART at wall slot %d -> checkpoint %d (%v)\n", ev.Wall, ev.Checkpoint, ev.At)
-}
-
-func (t *Timeline) FleetActivity(ev FleetEvent) {
-	if ev.Kind == FleetMigration {
-		t.printf("    fleet reader=%d migrate %s zone %d -> %d at %v\n",
-			ev.Reader, ev.ID, ev.From, ev.Zone, ev.At)
-		return
-	}
-	t.printf("    fleet reader=%d zone=%d %s at %v\n", ev.Reader, ev.Zone, ev.Kind, ev.At)
 }

@@ -126,7 +126,7 @@ func Estimate(env *protocol.Env, cfg Config) (Result, error) {
 			return res, ErrInconclusive
 		}
 		if env.Tracer != nil {
-			env.Tracer.FrameStart(obsev.FrameEvent{Seq: res.Slots, Frame: frames + 1, Size: f, P: p})
+			env.Tracer.Emit(obsev.Event{Kind: obsev.FrameStart, Seq: res.Slots, N1: frames + 1, N2: f, F1: p})
 		}
 		n0, nc := probeFrame(env, f, p, res.Slots)
 		res.Slots += f
@@ -232,10 +232,11 @@ func probeFrame(env *protocol.Env, f int, p float64, seq int) (n0, nc int) {
 			nc++
 		}
 		if env.Tracer != nil {
-			env.Tracer.SlotDone(obsev.SlotEvent{
-				Seq:          seq + i,
-				Kind:         obs.Kind,
-				Transmitters: len(tx),
+			env.Tracer.Emit(obsev.Event{
+				Kind: obsev.SlotDone,
+				Seq:  seq + i,
+				Sub:  uint8(obs.Kind),
+				N1:   len(tx),
 			})
 		}
 	}

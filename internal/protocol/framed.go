@@ -118,7 +118,7 @@ func (f *Framed) StartFrame(size int, p float64) ([][]tagid.ID, error) {
 	}
 	f.clock.Add(f.Env.Timing.FrameAnnouncement())
 	f.M.Frames++
-	f.Env.TraceFrame(obs.FrameEvent{Seq: f.slots, Frame: f.M.Frames, Size: size, P: p})
+	f.Env.EmitNow(obs.Event{Kind: obs.FrameStart, Seq: f.slots, N1: f.M.Frames, N2: size, F1: p})
 	f.occ = f.scratch.buckets(size)
 	f.Read = f.scratch.readSet()
 	f.FrameLen = size
@@ -181,7 +181,8 @@ func (f *Framed) readResolved(id tagid.ID) {
 
 func (f *Framed) ack(id tagid.ID, kind obs.AckKind) {
 	delivered := f.Env.AckDelivered()
-	f.Env.TraceAck(obs.AckEvent{Seq: f.M.TotalSlots() - 1, ID: id, Kind: kind, Delivered: delivered})
+	f.Env.EmitNow(obs.Event{Kind: obs.AckSent, Seq: f.M.TotalSlots() - 1, ID: id, Sub: uint8(kind),
+		Flag: delivered})
 	if delivered {
 		f.Read[id] = struct{}{}
 	}

@@ -161,7 +161,8 @@ func (e *Env) AckDelivered() bool {
 	}
 	if !e.Faults.AckDelivered() {
 		if e.Tracer != nil {
-			e.Tracer.FaultInjected(obs.FaultEvent{Slot: e.Faults.Acks(), Kind: obs.FaultAckLoss})
+			e.Tracer.Emit(obs.Event{Kind: obs.FaultInjected, Seq: int(e.Faults.Acks()),
+				Sub: uint8(obs.FaultAckLoss)})
 		}
 		return false
 	}
@@ -191,12 +192,13 @@ func (e *Env) NotifySlot(ev SlotEvent) {
 		e.OnSlot(ev)
 	}
 	if e.Tracer != nil {
-		e.Tracer.SlotDone(obs.SlotEvent{
-			Seq:          ev.Seq,
-			Kind:         ev.Kind,
-			Transmitters: ev.Transmitters,
-			Identified:   ev.Identified,
-			At:           e.Now(),
+		e.Tracer.Emit(obs.Event{
+			Kind: obs.SlotDone,
+			Seq:  ev.Seq,
+			Sub:  uint8(ev.Kind),
+			N1:   ev.Transmitters,
+			N2:   ev.Identified,
+			At:   e.Now(),
 		})
 	}
 }
@@ -210,14 +212,14 @@ func (e *Env) NotifyIdentified(id tagid.ID, viaResolution bool) {
 		e.OnIdentified(id, viaResolution)
 	}
 	if e.Tracer != nil {
-		e.Tracer.TagIdentified(obs.IdentifyEvent{ID: id, ViaResolution: viaResolution, At: e.Now()})
+		e.Tracer.Emit(obs.Event{Kind: obs.TagIdentified, ID: id, Flag: viaResolution, At: e.Now()})
 	}
 }
 
 // TraceRunStart emits the run-opening event.
 func (e *Env) TraceRunStart(protocol string) {
 	if e.Tracer != nil {
-		e.Tracer.RunStart(obs.RunStartEvent{Protocol: protocol, Tags: len(e.Tags)})
+		e.Tracer.Emit(obs.Event{Kind: obs.RunStart, Label: protocol, N1: len(e.Tags)})
 	}
 }
 
@@ -226,70 +228,36 @@ func (e *Env) TraceRunEnd(protocol string, m Metrics, err error) {
 	if e.Tracer == nil {
 		return
 	}
-	ev := obs.RunEndEvent{
-		Protocol: protocol,
-		Slots:    m.TotalSlots(),
-		Frames:   m.Frames,
-		Direct:   m.DirectIDs,
-		Resolved: m.ResolvedIDs,
+	ev := obs.Event{
+		Kind:  obs.RunEnd,
+		Label: protocol,
+		Seq:   m.TotalSlots(),
+		N1:    m.Frames,
+		N2:    m.DirectIDs,
+		N3:    m.ResolvedIDs,
+		At:    m.OnAir,
 	}
 	if err != nil {
 		ev.Err = err.Error()
 	}
-	ev.At = m.OnAir
-	e.Tracer.RunEnd(ev)
+	e.Tracer.Emit(ev)
 }
 
-// TraceFrame emits a frame-boundary event.
-func (e *Env) TraceFrame(ev obs.FrameEvent) {
+// Emit forwards ev to the tracer as is (a no-op without one). Events whose
+// At the caller already knows (workload arrivals and departures,
+// checkpoints) go through it.
+func (e *Env) Emit(ev obs.Event) {
+	if e.Tracer != nil {
+		e.Tracer.Emit(ev)
+	}
+}
+
+// EmitNow stamps ev.At with the session's current air time and forwards
+// it to the tracer (a no-op without one).
+func (e *Env) EmitNow(ev obs.Event) {
 	if e.Tracer != nil {
 		ev.At = e.Now()
-		e.Tracer.FrameStart(ev)
-	}
-}
-
-// TraceAdvert emits a single-slot advertisement event.
-func (e *Env) TraceAdvert(ev obs.AdvertEvent) {
-	if e.Tracer != nil {
-		ev.At = e.Now()
-		e.Tracer.Advertisement(ev)
-	}
-}
-
-// TraceAck emits an acknowledgement event.
-func (e *Env) TraceAck(ev obs.AckEvent) {
-	if e.Tracer != nil {
-		ev.At = e.Now()
-		e.Tracer.AckSent(ev)
-	}
-}
-
-// TraceEstimate emits a population-estimate update event.
-func (e *Env) TraceEstimate(ev obs.EstimateEvent) {
-	if e.Tracer != nil {
-		ev.At = e.Now()
-		e.Tracer.EstimatorUpdate(ev)
-	}
-}
-
-// TraceArrival emits a tag-arrival event (dynamic workloads only).
-func (e *Env) TraceArrival(ev obs.ArrivalEvent) {
-	if e.Tracer != nil {
-		e.Tracer.TagArrival(ev)
-	}
-}
-
-// TraceDeparture emits a tag-departure event (dynamic workloads only).
-func (e *Env) TraceDeparture(ev obs.DepartureEvent) {
-	if e.Tracer != nil {
-		e.Tracer.TagDeparture(ev)
-	}
-}
-
-// TraceCheckpoint emits a session-checkpoint event.
-func (e *Env) TraceCheckpoint(ev obs.CheckpointEvent) {
-	if e.Tracer != nil {
-		e.Tracer.SessionCheckpoint(ev)
+		e.Tracer.Emit(ev)
 	}
 }
 

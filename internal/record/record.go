@@ -315,9 +315,8 @@ func (s *Store) Add(slot uint64, mix channel.Mixed, members []tagid.ID) []Resolv
 		s.total++
 		s.dropped++
 		if s.Tracer != nil {
-			s.Tracer.RecordQuarantined(obs.QuarantineEvent{
-				Slot: slot, Reason: "order", Members: len(members),
-			})
+			s.Tracer.Emit(obs.Event{Kind: obs.RecordQuarantined, Seq: int(slot), Label: "order",
+				N1: len(members)})
 		}
 		if s.releaser != nil && !s.cloned && mix != nil {
 			s.releaser.ReleaseMixed(mix)
@@ -337,7 +336,7 @@ func (s *Store) Add(slot uint64, mix channel.Mixed, members []tagid.ID) []Resolv
 	}
 	s.total++
 	if s.Tracer != nil {
-		s.Tracer.RecordCreated(obs.RecordEvent{Slot: slot, Multiplicity: len(members), Unknown: unknown})
+		s.Tracer.Emit(obs.Event{Kind: obs.RecordCreated, Seq: int(slot), N1: len(members), N2: unknown})
 	}
 	if y, ok := e.mix.Decode(); ok {
 		if s.Quarantine && !y.Valid() {
@@ -355,7 +354,7 @@ func (s *Store) Add(slot uint64, mix channel.Mixed, members []tagid.ID) []Resolv
 			// cascade applies.
 			e.resolved = true
 			if s.Tracer != nil {
-				s.Tracer.RecordResolved(obs.ResolveEvent{Slot: slot, ID: y, Dup: true})
+				s.Tracer.Emit(obs.Event{Kind: obs.RecordResolved, Seq: int(slot), ID: y, Flag: true})
 			}
 			s.release(e)
 			return nil
@@ -364,7 +363,7 @@ func (s *Store) Add(slot uint64, mix channel.Mixed, members []tagid.ID) []Resolv
 		// is stored.
 		e.resolved = true
 		if s.Tracer != nil {
-			s.Tracer.RecordResolved(obs.ResolveEvent{Slot: slot, ID: y})
+			s.Tracer.Emit(obs.Event{Kind: obs.RecordResolved, Seq: int(slot), ID: y})
 		}
 		s.release(e)
 		s.out = append(s.out[:0], Resolved{ID: y, Slot: slot})
@@ -446,9 +445,8 @@ func (s *Store) discard(e *entry, reason string) {
 	e.resolved = true
 	s.quarantined++
 	if s.Tracer != nil {
-		s.Tracer.RecordQuarantined(obs.QuarantineEvent{
-			Slot: e.slot, Reason: reason, Members: e.mix.Multiplicity(),
-		})
+		s.Tracer.Emit(obs.Event{Kind: obs.RecordQuarantined, Seq: int(e.slot), Label: reason,
+			N1: e.mix.Multiplicity()})
 	}
 	s.release(e)
 }
@@ -533,7 +531,7 @@ func (s *Store) cascade() {
 			continue
 		}
 		if s.Tracer != nil {
-			s.Tracer.CascadeStep(obs.CascadeEvent{ID: x.id, Records: node.n, Depth: x.depth})
+			s.Tracer.Emit(obs.Event{Kind: obs.CascadeStep, ID: x.id, N1: node.n, N2: x.depth})
 		}
 		for i := 0; i < node.n; i++ {
 			e := node.record(i)
@@ -570,9 +568,8 @@ func (s *Store) cascade() {
 				// the record is spent, but the stale read is discarded (the
 				// acknowledgement would go unanswered).
 				if s.Tracer != nil {
-					s.Tracer.RecordResolved(obs.ResolveEvent{
-						Slot: e.slot, ID: y, Trigger: x.id, Depth: x.depth + 1, Dup: true,
-					})
+					s.Tracer.Emit(obs.Event{Kind: obs.RecordResolved, Seq: int(e.slot), ID: y,
+						ID2: x.id, N1: x.depth + 1, Flag: true})
 				}
 				s.release(e)
 				continue
@@ -583,18 +580,16 @@ func (s *Store) cascade() {
 				// (e.g. {A,B}@i and {A,B}@j when A is learned). The second
 				// record is spent, but yields nothing new.
 				if s.Tracer != nil {
-					s.Tracer.RecordResolved(obs.ResolveEvent{
-						Slot: e.slot, ID: y, Trigger: x.id, Depth: x.depth + 1, Dup: true,
-					})
+					s.Tracer.Emit(obs.Event{Kind: obs.RecordResolved, Seq: int(e.slot), ID: y,
+						ID2: x.id, N1: x.depth + 1, Flag: true})
 				}
 				s.release(e)
 				continue
 			}
 			s.markKnown(ypre, y)
 			if s.Tracer != nil {
-				s.Tracer.RecordResolved(obs.ResolveEvent{
-					Slot: e.slot, ID: y, Trigger: x.id, Depth: x.depth + 1,
-				})
+				s.Tracer.Emit(obs.Event{Kind: obs.RecordResolved, Seq: int(e.slot), ID: y,
+					ID2: x.id, N1: x.depth + 1})
 			}
 			s.release(e)
 			s.out = append(s.out, Resolved{ID: y, Slot: e.slot})
@@ -613,9 +608,8 @@ func (s *Store) evict(e *entry, reason string) {
 	s.active--
 	s.quarantined++
 	if s.Tracer != nil {
-		s.Tracer.RecordQuarantined(obs.QuarantineEvent{
-			Slot: e.slot, Reason: reason, Members: e.mix.Multiplicity(),
-		})
+		s.Tracer.Emit(obs.Event{Kind: obs.RecordQuarantined, Seq: int(e.slot), Label: reason,
+			N1: e.mix.Multiplicity()})
 	}
 	s.release(e)
 }

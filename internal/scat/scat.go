@@ -199,7 +199,7 @@ func (r *session) Step() (bool, error) {
 		r.m.SingletonSlots += pre.SingletonSlots
 		r.m.CollisionSlots += pre.CollisionSlots
 		r.clock.Add(pre.OnAir)
-		r.env.TraceEstimate(obsev.EstimateEvent{Estimate: float64(r.n)})
+		r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n)})
 		return false, nil
 	}
 	if int(r.slot) >= r.budget {
@@ -381,7 +381,7 @@ func (r *session) doSlot(slot uint64) (done bool) {
 	}
 
 	r.clock.Add(env.Timing.SlotAdvertisement() + env.Timing.Slot())
-	env.TraceAdvert(obsev.AdvertEvent{Seq: int(slot), P: reportProb})
+	env.EmitNow(obsev.Event{Kind: obsev.Advertisement, Seq: int(slot), F1: reportProb})
 	r.buf = r.active.Transmitters(env.RNG, env.TxModel, slot, reportProb, r.buf)
 	obs := env.Channel.Observe(r.buf)
 
@@ -407,18 +407,16 @@ func (r *session) doSlot(slot uint64) (done bool) {
 		r.consecutiveCollisions = 0
 		r.countDirect(obs.ID)
 		delivered := env.AckDelivered()
-		env.TraceAck(obsev.AckEvent{
-			Seq: int(slot), ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
+		env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: obs.ID,
+			Sub: uint8(obsev.AckDirect), Flag: delivered})
 		if delivered {
 			r.active.Remove(obs.ID)
 		}
 		for _, res := range r.store.OnIdentified(obs.ID) {
 			r.countResolved(res)
 			delivered := env.AckDelivered()
-			env.TraceAck(obsev.AckEvent{
-				Seq: int(slot), ID: res.ID, Kind: obsev.AckResolvedID, Delivered: delivered,
-			})
+			env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: res.ID,
+				Sub: uint8(obsev.AckResolvedID), Flag: delivered})
 			if delivered {
 				r.active.Remove(res.ID)
 			}
@@ -432,9 +430,8 @@ func (r *session) doSlot(slot uint64) (done bool) {
 		for _, res := range r.store.Add(slot, obs.Mix, r.buf) {
 			r.countResolved(res)
 			delivered := env.AckDelivered()
-			env.TraceAck(obsev.AckEvent{
-				Seq: int(slot), ID: res.ID, Kind: obsev.AckResolvedID, Delivered: delivered,
-			})
+			env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: res.ID,
+				Sub: uint8(obsev.AckResolvedID), Flag: delivered})
 			if delivered {
 				r.active.Remove(res.ID)
 			}
@@ -444,7 +441,7 @@ func (r *session) doSlot(slot uint64) (done bool) {
 			// remain. Raise the reader's belief past the identified
 			// count to resume normal operation.
 			r.n = r.m.Identified() + 2
-			env.TraceEstimate(obsev.EstimateEvent{Estimate: float64(r.n), Identified: r.m.Identified()})
+			env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n), N2: r.m.Identified()})
 		}
 		if r.consecutiveCollisions >= 25 {
 			// At the design load a collision happens with probability
@@ -457,7 +454,7 @@ func (r *session) doSlot(slot uint64) (done bool) {
 			}
 			r.n = r.m.Identified() + 2*deficit
 			r.consecutiveCollisions = 0
-			env.TraceEstimate(obsev.EstimateEvent{Estimate: float64(r.n), Identified: r.m.Identified()})
+			env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n), N2: r.m.Identified()})
 		}
 	case channel.Captured:
 		// Capture effect: a collision on the air whose strongest member
@@ -469,18 +466,16 @@ func (r *session) doSlot(slot uint64) (done bool) {
 		r.consecutiveCollisions++
 		r.countDirect(obs.ID)
 		delivered := env.AckDelivered()
-		env.TraceAck(obsev.AckEvent{
-			Seq: int(slot), ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
+		env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: obs.ID,
+			Sub: uint8(obsev.AckDirect), Flag: delivered})
 		if delivered {
 			r.active.Remove(obs.ID)
 		}
 		for _, res := range r.store.OnIdentified(obs.ID) {
 			r.countResolved(res)
 			delivered := env.AckDelivered()
-			env.TraceAck(obsev.AckEvent{
-				Seq: int(slot), ID: res.ID, Kind: obsev.AckResolvedID, Delivered: delivered,
-			})
+			env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: res.ID,
+				Sub: uint8(obsev.AckResolvedID), Flag: delivered})
 			if delivered {
 				r.active.Remove(res.ID)
 			}
@@ -488,16 +483,15 @@ func (r *session) doSlot(slot uint64) (done bool) {
 		for _, res := range r.store.Add(slot, obs.Mix, r.buf) {
 			r.countResolved(res)
 			delivered := env.AckDelivered()
-			env.TraceAck(obsev.AckEvent{
-				Seq: int(slot), ID: res.ID, Kind: obsev.AckResolvedID, Delivered: delivered,
-			})
+			env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: res.ID,
+				Sub: uint8(obsev.AckResolvedID), Flag: delivered})
 			if delivered {
 				r.active.Remove(res.ID)
 			}
 		}
 		if probe && remaining <= 0 {
 			r.n = r.m.Identified() + 2
-			env.TraceEstimate(obsev.EstimateEvent{Estimate: float64(r.n), Identified: r.m.Identified()})
+			env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n), N2: r.m.Identified()})
 		}
 	}
 	r.m.TagTransmissions += len(r.buf)

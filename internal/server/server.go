@@ -103,13 +103,15 @@ func (c Config) withDefaults() Config {
 // Handler on an http.Server, and stop with Drain (graceful) or Kill
 // (simulated crash — tests only).
 type Server struct {
-	cfg     Config
-	store   *Store
-	reg     *obs.Registry
-	health  *obs.HealthMonitor
-	sink    obs.ServerSink
-	shards  []*shard
-	limiter *rateLimiter
+	cfg    Config
+	store  *Store
+	reg    *obs.Registry
+	health *obs.HealthMonitor
+	// requests and requestErrors count every API request and those served
+	// a 5xx; resolved once because guard bumps them on every request.
+	requests, requestErrors *obs.Counter
+	shards                  []*shard
+	limiter                 *rateLimiter
 
 	live     atomic.Int64 // sessions resident in memory
 	draining atomic.Bool
@@ -144,7 +146,6 @@ func New(cfg Config) (*Server, error) {
 		store:      store,
 		reg:        reg,
 		health:     obs.NewHealthMonitor(obs.HealthConfig{}),
-		sink:       obs.NewServerMetrics(reg),
 		limiter:    newRateLimiter(cfg.RateLimit, cfg.RateBurst),
 		stopped:    make(chan struct{}),
 		newSession: cfg.newSession,
@@ -153,9 +154,14 @@ func New(cfg Config) (*Server, error) {
 		s.newSession = newHosted
 	}
 	// Touch every server-plane counter so /metrics serves the full zeroed
-	// families from the first scrape.
+	// families from the first scrape — a recovery pass that quarantined
+	// nothing still reports rfid_server_recovery_quarantined_total 0.
+	s.requests = reg.Counter(obs.MetricServerRequests)
+	s.requestErrors = reg.Counter(obs.MetricServerRequestErrors)
 	for _, name := range []string{
-		obs.MetricServerRejectBackpressure, obs.MetricServerRejectRatelimit,
+		obs.MetricServerRecoveryScanned, obs.MetricServerRecoveryRecovered,
+		obs.MetricServerRecoveryQuarantined, obs.MetricServerRecoveryReplayedSteps,
+		obs.MetricServerEvictIdle, obs.MetricServerRejectBackpressure, obs.MetricServerRejectRatelimit,
 		obs.MetricServerRejectDraining, obs.MetricServerSessionsCreated,
 		obs.MetricServerSessionsDeleted, obs.MetricServerSessionsPoisoned,
 		obs.MetricServerSessionsReactivated, obs.MetricServerSteps,
@@ -190,7 +196,7 @@ func (s *Server) recover() error {
 	}
 	for _, q := range scan.Quarantined {
 		s.logf("server: recovery: quarantined %s: %v", q.Path, q.Err)
-		s.sink.ServerRecovery(obs.ServerRecoveryEvent{Session: q.Path, Quarantined: true, Err: q.Err.Error()})
+		s.recovered(false, 0)
 	}
 	perShard := make([][]*Record, len(s.shards))
 	for _, rec := range scan.Records {
@@ -210,17 +216,29 @@ func (s *Server) recover() error {
 				if err != nil {
 					qpath := s.store.Quarantine(rec.ID)
 					s.logf("server: recovery: session %q replay failed, quarantined to %s: %v", rec.ID, qpath, err)
-					s.sink.ServerRecovery(obs.ServerRecoveryEvent{Session: rec.ID, Quarantined: true, Err: err.Error()})
+					s.recovered(false, 0)
 					continue
 				}
 				sh.sessions[rec.ID] = &entry{h: h, lastUsed: time.Now()}
 				s.live.Add(1)
-				s.sink.ServerRecovery(obs.ServerRecoveryEvent{Session: rec.ID, Steps: rec.Steps})
+				s.recovered(true, rec.Steps)
 			}
 		}(s.shards[i], recs)
 	}
 	wg.Wait()
 	return nil
+}
+
+// recovered counts one checkpoint scanned at startup: recovered with its
+// replayed step count, or quarantined.
+func (s *Server) recovered(ok bool, steps uint64) {
+	s.reg.Counter(obs.MetricServerRecoveryScanned).Inc()
+	if !ok {
+		s.reg.Counter(obs.MetricServerRecoveryQuarantined).Inc()
+		return
+	}
+	s.reg.Counter(obs.MetricServerRecoveryRecovered).Inc()
+	s.reg.Counter(obs.MetricServerRecoveryReplayedSteps).Add(int64(steps))
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -321,7 +339,10 @@ func (s *Server) guard(op string, h func(http.ResponseWriter, *http.Request)) ht
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
-			s.sink.ServerRequest(obs.ServerRequestEvent{Op: op, Session: r.PathValue("id"), Status: sw.code})
+			s.requests.Inc()
+			if sw.code >= 500 {
+				s.requestErrors.Inc()
+			}
 		}()
 		if s.draining.Load() {
 			s.reg.Counter(obs.MetricServerRejectDraining).Inc()

@@ -158,7 +158,7 @@ func (sh *shard) poison(id string, cause any) {
 	reason := fmt.Sprintf("%v", cause)
 	sh.srv.logf("server: shard %d: session %q poisoned: %s\n%s", sh.index, id, reason, debug.Stack())
 	sh.srv.reg.Counter(obs.MetricServerSessionsPoisoned).Inc()
-	sh.srv.health.RunEnd(obs.RunEndEvent{Protocol: "server", Err: "poisoned: " + reason})
+	sh.srv.health.Emit(obs.Event{Kind: obs.RunEnd, Label: "server", Err: "poisoned: " + reason})
 	e, ok := sh.sessions[id]
 	if !ok {
 		e = &entry{}
@@ -229,7 +229,7 @@ func (sh *shard) evictIdle(now time.Time) {
 		if sh.checkpoint(e.h) != nil {
 			continue
 		}
-		sh.srv.sink.ServerEvict(obs.ServerEvictEvent{Session: id, Idle: now.Sub(e.lastUsed)})
+		sh.srv.reg.Counter(obs.MetricServerEvictIdle).Inc()
 		sh.srv.live.Add(-1)
 		delete(sh.sessions, id)
 	}

@@ -230,10 +230,14 @@ func RunChaosOnce(p protocol.SessionProtocol, cfg ChaosConfig, run int) (ChaosRe
 	// The run-local audit tracer tallies fault activity into the report; it
 	// sees events in emission order regardless of worker count because it
 	// lives inside the run.
-	audit := &obs.Hooks{
-		OnFaultInjected:     func(obs.FaultEvent) { rep.FaultsInjected++ },
-		OnRecordQuarantined: func(obs.QuarantineEvent) { rep.Quarantined++ },
-	}
+	audit := obs.Func(func(ev obs.Event) {
+		switch ev.Kind {
+		case obs.FaultInjected:
+			rep.FaultsInjected++
+		case obs.RecordQuarantined:
+			rep.Quarantined++
+		}
+	})
 	// The health monitor rides the same in-run event stream as the audit;
 	// its final score and stall count land in the report.
 	health := obs.NewHealthMonitor(obs.HealthConfig{})
@@ -299,12 +303,8 @@ func RunChaosOnce(p protocol.SessionProtocol, cfg ChaosConfig, run int) (ChaosRe
 			tags:   append(mark.tags[:0:0], rep.Tags...),
 		}
 		haveMark = true
-		env.TraceCheckpoint(obs.CheckpointEvent{
-			Seq:        mark.seq,
-			At:         now,
-			Active:     s.Outstanding(),
-			Identified: s.Metrics().Identified(),
-		})
+		env.Emit(obs.Event{Kind: obs.SessionCheckpoint, Seq: mark.seq, At: now, N1: s.Outstanding(),
+			N2: s.Metrics().Identified()})
 		rep.Checkpoints++
 		return true
 	}
@@ -363,7 +363,7 @@ func RunChaosOnce(p protocol.SessionProtocol, cfg ChaosConfig, run int) (ChaosRe
 				if fch != nil {
 					fch.Revoke(rec.ID)
 				}
-				env.TraceDeparture(obs.DepartureEvent{ID: rec.ID, At: d.at, Identified: rec.Identified})
+				env.Emit(obs.Event{Kind: obs.TagDeparture, ID: rec.ID, At: d.at, Flag: rec.Identified})
 			case arrDue:
 				a := script.arrivals[arrCur]
 				arrCur++
@@ -372,7 +372,7 @@ func RunChaosOnce(p protocol.SessionProtocol, cfg ChaosConfig, run int) (ChaosRe
 					fch.Admit(a.id)
 				}
 				s.Admit([]tagid.ID{a.id})
-				env.TraceArrival(obs.ArrivalEvent{ID: a.id, At: a.at, Active: activeCount(rep.Tags)})
+				env.Emit(obs.Event{Kind: obs.TagArrival, ID: a.id, At: a.at, N1: activeCount(rep.Tags)})
 			default:
 			}
 			if !depDue && !arrDue {
@@ -426,8 +426,9 @@ func RunChaosOnce(p protocol.SessionProtocol, cfg ChaosConfig, run int) (ChaosRe
 			pendingIdent = pendingIdent[:0]
 			rep.Crashes++
 			if env.Tracer != nil {
-				env.Tracer.FaultInjected(obs.FaultEvent{Slot: wall, Kind: obs.FaultCrash})
-				env.Tracer.ReaderRestart(obs.RestartEvent{Wall: wall, At: mark.at, Checkpoint: mark.seq})
+				env.Tracer.Emit(obs.Event{Kind: obs.FaultInjected, Seq: int(wall),
+					Sub: uint8(obs.FaultCrash)})
+				env.Tracer.Emit(obs.Event{Kind: obs.ReaderRestart, Seq: int(wall), At: mark.at, N1: mark.seq})
 			}
 		}
 	}

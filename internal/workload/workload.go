@@ -296,7 +296,7 @@ func Run(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source, cfg Conf
 				rec.DepartedAt = d.at
 				present--
 				s.Revoke([]tagid.ID{rec.ID})
-				env.TraceDeparture(obs.DepartureEvent{ID: rec.ID, At: d.at, Identified: rec.Identified})
+				env.Emit(obs.Event{Kind: obs.TagDeparture, ID: rec.ID, At: d.at, Flag: rec.Identified})
 			case arrDue:
 				at := nextArrival
 				for i := 0; i < cfg.Burst; i++ {
@@ -306,7 +306,7 @@ func Run(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source, cfg Conf
 					}
 					admit(id, at)
 					s.Admit([]tagid.ID{id})
-					env.TraceArrival(obs.ArrivalEvent{ID: id, At: at, Active: present})
+					env.Emit(obs.Event{Kind: obs.TagArrival, ID: id, At: at, N1: present})
 				}
 				nextArrival = at + exp(wl, cfg.ArrivalRate)
 			default:
@@ -321,12 +321,8 @@ func Run(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source, cfg Conf
 		}
 		if cfg.CheckpointEvery > 0 && now >= nextCheckpoint {
 			if _, err := s.Snapshot(); err == nil {
-				env.TraceCheckpoint(obs.CheckpointEvent{
-					Seq:        rep.Checkpoints,
-					At:         now,
-					Active:     s.Outstanding(),
-					Identified: s.Metrics().Identified(),
-				})
+				env.Emit(obs.Event{Kind: obs.SessionCheckpoint, Seq: rep.Checkpoints, At: now,
+					N1: s.Outstanding(), N2: s.Metrics().Identified()})
 				rep.Checkpoints++
 			}
 			for nextCheckpoint <= now {

@@ -19,24 +19,25 @@ func TestTraceResolutionChains(t *testing.T) {
 		chained   = make(map[ancrfid.TagID]bool) // resolve events seen, dup or not
 		badChains int
 	)
-	tr := &ancrfid.TracerHooks{
-		OnTagIdentified: func(ev ancrfid.TraceIdentifyEvent) {
-			if ev.ViaResolution {
+	tr := ancrfid.TracerFunc(func(ev ancrfid.TraceEvent) {
+		switch ev.Kind {
+		case ancrfid.TraceTagIdentified:
+			if ev.Flag {
 				resolved[ev.ID] = true
 			} else {
 				direct[ev.ID] = true
 			}
-		},
-		OnRecordResolved: func(ev ancrfid.TraceResolveEvent) {
-			if ev.Depth > 0 {
-				// Triggered resolve: the trigger must already be known.
-				if !direct[ev.Trigger] && !resolved[ev.Trigger] && !chained[ev.Trigger] {
+		case ancrfid.TraceRecordResolved:
+			if ev.N1 > 0 {
+				// Triggered resolve (ID2 is the trigger): it must already
+				// be known.
+				if !direct[ev.ID2] && !resolved[ev.ID2] && !chained[ev.ID2] {
 					badChains++
 				}
 			}
 			chained[ev.ID] = true
-		},
-	}
+		}
+	})
 
 	cfg := ancrfid.SimConfig{Tags: 1000, Runs: 1, Seed: 42, Tracer: tr}
 	m, err := ancrfid.RunOnce(ancrfid.NewFCAT(2), cfg, 0)

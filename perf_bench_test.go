@@ -112,14 +112,14 @@ func BenchmarkSlotLoop(b *testing.B) {
 // tracks it; TestSpanEmitNoAlloc (internal/obs) pins it allocation-free.
 func BenchmarkSpanEmit(b *testing.B) {
 	sb := ancrfid.NewSpanBuilder(ancrfid.SpanSinkFunc(func(ancrfid.Span) {}))
-	sb.RunStart(ancrfid.TraceRunStartEvent{Protocol: "BENCH", Tags: 1})
+	sb.Emit(ancrfid.TraceEvent{Kind: ancrfid.TraceRunStart, Label: "BENCH", N1: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at := time.Duration(i) * time.Millisecond
-		sb.TagIdentified(ancrfid.TraceIdentifyEvent{At: at})
-		sb.SlotDone(ancrfid.TraceSlotEvent{Seq: i, Kind: channel.Singleton,
-			Transmitters: 1, At: at})
+		sb.Emit(ancrfid.TraceEvent{Kind: ancrfid.TraceTagIdentified, At: at})
+		sb.Emit(ancrfid.TraceEvent{Kind: ancrfid.TraceSlotDone, Seq: i,
+			Sub: uint8(channel.Singleton), N1: 1, At: at})
 	}
 }
 
