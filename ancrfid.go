@@ -123,8 +123,6 @@ type (
 	// stamp and a small fixed payload (see obs.EventKind for the fields
 	// each kind sets).
 	TraceEvent = obs.Event
-	// TraceEventKind names the kind of a TraceEvent.
-	TraceEventKind = obs.EventKind
 	// Registry is a concurrency-safe metrics registry of counters and
 	// histograms.
 	Registry = obs.Registry
@@ -133,7 +131,7 @@ type (
 	AckKind = obs.AckKind
 )
 
-// Event kinds of the trace stream, in the order a run can emit them.
+// Event kinds of the trace stream (the Kind of a TraceEvent).
 const (
 	TraceRunStart          = obs.RunStart
 	TraceRunEnd            = obs.RunEnd

@@ -177,8 +177,8 @@ func (k FleetKind) String() string {
 //	FaultInjected (fault)         Seq=slot (the dropped ack's ordinal for
 //	                              ack loss) Sub=FaultKind ID=affected tag
 //	                              (zero for slot-scoped faults)
-//	RecordQuarantined (quarantine) Seq=record slot index Label=reason ("crc"
-//	                              or "residual") N1=record multiplicity
+//	RecordQuarantined (quarantine) Seq=record slot index Label=reason ("crc",
+//	                              "residual" or "order") N1=record multiplicity
 //	ReaderRestart (restart)       Seq=wall slots executed N1=checkpoint
 //	                              restored At=air time it rewinds to
 //	FleetActivity (fleet)         N1=reader N2=zone (destination for
@@ -191,8 +191,9 @@ func (k FleetKind) String() string {
 // only fleet runs emit fleet activity.
 //
 // Adding a kind costs one constant here, one payload row above, one name
-// in eventNames and one case in JSONL.Emit (the other consumers ignore
-// kinds they do not use); TestEventKindCoverage checks every kind.
+// in eventNames and one case each in JSONL.Emit and Timeline.Emit (the
+// other consumers ignore kinds they do not use); TestEventKindCoverage
+// checks every kind.
 type EventKind uint8
 
 const (
