@@ -122,6 +122,13 @@ func (r *Source) Bool(p float64) bool {
 }
 
 // NormFloat64 returns a standard normal deviate (Box-Muller, polar form).
+//
+// Its only caller is Binomial's large-mean branch, which feeds the
+// default TxBinomial transmitter model on the abstract channel. That
+// stream is pinned by every abstract golden cell and by the abstract
+// sessions in server checkpoints, so it stays polar; AWGN uses the faster
+// ZigNormFloat64. Do not unify the two: either direction moves a pinned
+// stream.
 func (r *Source) NormFloat64() float64 {
 	if r.hasNormSpare {
 		r.hasNormSpare = false

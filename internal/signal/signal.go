@@ -115,14 +115,16 @@ func Mix(ws ...Waveform) Waveform {
 }
 
 // AddNoise adds complex AWGN with per-sample standard deviation sigma
-// (sigma^2 split evenly between I and Q) in place and returns w.
+// (sigma^2 split evenly between I and Q) in place and returns w. It draws
+// the ziggurat sampler I then Q per sample, exactly as AddNoisePlane does,
+// so the scalar and plane paths share one noise definition.
 func AddNoise(w Waveform, sigma float64, r *rng.Source) Waveform {
 	if sigma <= 0 {
 		return w
 	}
 	s := sigma / math.Sqrt2
 	for i := range w {
-		w[i] += complex(s*r.NormFloat64(), s*r.NormFloat64())
+		w[i] += complex(s*r.ZigNormFloat64(), s*r.ZigNormFloat64())
 	}
 	return w
 }

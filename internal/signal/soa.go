@@ -144,7 +144,8 @@ func (p *Plane) AccumulateScaledRotated(ref, rot *Plane, g complex128) {
 }
 
 // AddNoisePlane adds complex AWGN in place, drawing the generator in the
-// exact order AddNoise does (I then Q per sample).
+// exact order AddNoise does (I then Q per sample). The deviates come from
+// rng.ZigNormFloat64, whose common path has no log or sqrt.
 func AddNoisePlane(p *Plane, sigma float64, r *rng.Source) {
 	if sigma <= 0 {
 		return
@@ -153,8 +154,8 @@ func AddNoisePlane(p *Plane, sigma float64, r *rng.Source) {
 	n := p.Len()
 	pr, pi := p.Re[:n], p.Im[:n]
 	for k := range pr {
-		pr[k] += s * r.NormFloat64()
-		pi[k] += s * r.NormFloat64()
+		pr[k] += s * r.ZigNormFloat64()
+		pi[k] += s * r.ZigNormFloat64()
 	}
 }
 

@@ -1,6 +1,9 @@
 package signal
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -189,12 +192,57 @@ func TestPlaneAccumulateScaledBitIdentical(t *testing.T) {
 	}
 }
 
-func TestPlaneAddNoiseBitIdentical(t *testing.T) {
-	w := Scale(ModulateID(tagid.New(7, 7), spb), complex(0.6, -0.2))
-	p := planeOf(w)
-	want := AddNoise(w, 0.05, rng.New(99))
-	AddNoisePlane(p, 0.05, rng.New(99))
-	requirePlaneBits(t, "noise", want, p)
+// awgnStreamSHA256 is the SHA-256 of the first 10⁵ rng.New(1)
+// ZigNormFloat64 deviates, each hashed as its big-endian float64 bits.
+const awgnStreamSHA256 = "0dd44a3a60d5c9844327a19ecab084e7545c93d3b15ace53a83e4ec047db4e50"
+
+// TestAddNoiseStreamPinned pins the one noise definition. The sampler's
+// stream must hash to awgnStreamSHA256, and AddNoise and AddNoisePlane
+// over a zero signal at sigma √2 (unit variance per component) must
+// reproduce those exact deviates, I then Q per sample. A sampler change
+// fails here by name instead of silently moving the signal goldens.
+func TestAddNoiseStreamPinned(t *testing.T) {
+	const n = 100_000
+	digest := func(next func() float64) string {
+		h := sha256.New()
+		var b [8]byte
+		for i := 0; i < n; i++ {
+			binary.BigEndian.PutUint64(b[:], math.Float64bits(next()))
+			h.Write(b[:])
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	interleaved := func(re, im []float64) func() float64 {
+		k := 0
+		return func() float64 {
+			v := re[k/2]
+			if k%2 == 1 {
+				v = im[k/2]
+			}
+			k++
+			return v
+		}
+	}
+	w := AddNoise(make(Waveform, n/2), math.Sqrt2, rng.New(1))
+	re, im := make([]float64, len(w)), make([]float64, len(w))
+	for i, c := range w {
+		re[i], im[i] = real(c), imag(c)
+	}
+	var p Plane
+	p.Reset(n / 2)
+	AddNoisePlane(&p, math.Sqrt2, rng.New(1))
+	for _, path := range []struct {
+		name string
+		next func() float64
+	}{
+		{"ZigNormFloat64", rng.New(1).ZigNormFloat64},
+		{"AddNoise", interleaved(re, im)},
+		{"AddNoisePlane", interleaved(p.Re, p.Im)},
+	} {
+		if got := digest(path.next); got != awgnStreamSHA256 {
+			t.Errorf("%s stream SHA-256 %s, want %s", path.name, got, awgnStreamSHA256)
+		}
+	}
 }
 
 func TestPlaneOffsetKernelsBitIdentical(t *testing.T) {
