@@ -164,6 +164,10 @@ type Record struct {
 	Steps uint64 `json:"steps"`
 	// Ops is the admission/revocation journal, AtStep nondecreasing.
 	Ops []Op `json:"ops,omitempty"`
+	// IdentDigest is the 64-bit FNV-1a of the ordered identification
+	// history at checkpoint time (each newly identified tag's 12 ID bytes).
+	// Replay must reproduce it. Zero means the record predates the field.
+	IdentDigest uint64 `json:"ident_digest,omitempty"`
 }
 
 // maxRecordSteps bounds the step count a record may demand of replay. At

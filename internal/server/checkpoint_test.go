@@ -3,9 +3,12 @@ package server
 import (
 	"encoding/binary"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
@@ -159,5 +162,70 @@ func TestFormatParseID(t *testing.T) {
 		if _, err := parseID(bad); err == nil {
 			t.Errorf("parseID(%q) accepted", bad)
 		}
+	}
+}
+
+// TestReplayIdentDigest checks that recovery compares the replayed
+// identification history against the record's digest. Records are taken
+// from live FCAT-2 sessions on both channels, edited, written to a store
+// and recovered by a fresh server; a divergent record must be quarantined
+// with ErrReplayDiverged, a faithful one recovered at its step count.
+func TestReplayIdentDigest(t *testing.T) {
+	live := func(channel string) *Record {
+		h, err := newHosted("dg-"+channel, Spec{Protocol: "FCAT-2", Seed: 5, Tags: 40, Channel: channel, NoiseSigma: 0.03}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := h.step(60, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		if h.identCount == 0 {
+			t.Fatalf("%s session identified nothing in 60 steps", channel)
+		}
+		return h.record()
+	}
+	for _, tc := range []struct {
+		name    string
+		channel string
+		edit    func(*Record)
+		ok      bool
+	}{
+		{"abstract intact", "abstract", func(*Record) {}, true},
+		{"signal intact", "signal", func(*Record) {}, true},
+		{"abstract tampered digest", "abstract", func(r *Record) { r.IdentDigest ^= 1 }, false},
+		{"signal tampered digest", "signal", func(r *Record) { r.IdentDigest ^= 1 << 40 }, false},
+		{"abstract without digest", "abstract", func(r *Record) { r.IdentDigest = 0 }, true},
+		{"signal without digest", "signal", func(r *Record) { r.IdentDigest = 0 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := live(tc.channel)
+			tc.edit(rec)
+			if _, err := replayHosted(rec, nil); (err == nil) != tc.ok || (err != nil && !errors.Is(err, ErrReplayDiverged)) {
+				t.Fatalf("replay: %v, want ok=%v or ErrReplayDiverged", err, tc.ok)
+			}
+
+			dir := t.TempDir()
+			st, err := OpenStore(dir, nil, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{Dir: dir, NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Kill()
+			recovered := s.reg.Value(obs.MetricServerRecoveryRecovered)
+			quarantined := s.reg.Value(obs.MetricServerRecoveryQuarantined)
+			if tc.ok && (recovered != 1 || quarantined != 0) || !tc.ok && (recovered != 0 || quarantined != 1) {
+				t.Fatalf("recovered %d, quarantined %d; want ok=%v", recovered, quarantined, tc.ok)
+			}
+			files, _ := filepath.Glob(filepath.Join(dir, "*"+quarantineSuffix))
+			if want := map[bool]int{true: 0, false: 1}[tc.ok]; len(files) != want {
+				t.Fatalf("%d quarantined files, want %d", len(files), want)
+			}
+		})
 	}
 }

@@ -21,8 +21,9 @@ import (
 )
 
 // ErrReplayDiverged reports a checkpoint whose replay did not reproduce a
-// healthy session — the step count could not be reached, or a step failed
-// where the journal says it once succeeded. It marks a checkpoint written
+// healthy session — the step count could not be reached, a step failed
+// where the journal says it once succeeded, or the identification history
+// does not match the record's IdentDigest. It marks a checkpoint written
 // by a different build or a record that lies; the recovery scan
 // quarantines the file.
 var ErrReplayDiverged = errors.New("server: checkpoint replay diverged")
@@ -61,10 +62,12 @@ type hosted struct {
 	// Accounting ledger, mirrored deterministically by replay.
 	tags       map[tagid.ID]tagState
 	identified []tagid.ID
-	dupIdents  int
-	phantoms   int
-	departed   int // tags in state tagDeparted
-	identCount int
+	// identDigest is the FNV-1a of identified, folded as tags join it.
+	identDigest uint64
+	dupIdents   int
+	phantoms    int
+	departed    int // tags in state tagDeparted
+	identCount  int
 	// dupReported/phantomReported track how much of the above already
 	// reached the global invariant counters (see Server.auditInvariants).
 	dupReported     int
@@ -94,10 +97,11 @@ func newHosted(id string, spec Spec, tracer obs.Tracer) (*hosted, error) {
 		ch = channel.NewAbstract(channel.AbstractConfig{Lambda: spec.Lambda}, r)
 	}
 	h := &hosted{
-		id:      id,
-		spec:    spec,
-		created: time.Now(),
-		tags:    make(map[tagid.ID]tagState, len(tags)+8),
+		id:          id,
+		spec:        spec,
+		created:     time.Now(),
+		tags:        make(map[tagid.ID]tagState, len(tags)+8),
+		identDigest: fnvOffset,
 	}
 	h.env = &protocol.Env{
 		RNG:      r,
@@ -137,8 +141,17 @@ func (h *hosted) onIdentified(id tagid.ID) {
 		h.tags[id] = tagIdentified
 		h.identified = append(h.identified, id)
 		h.identCount++
+		for _, b := range id {
+			h.identDigest = (h.identDigest ^ uint64(b)) * fnvPrime
+		}
 	}
 }
+
+// FNV-1a parameters of the identification-history digest.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // step executes up to n protocol steps, stopping early at the deadline
 // (checked every few steps — a livelocked session cannot hold its shard
@@ -224,20 +237,29 @@ func (h *hosted) apply(op Op) (admitted, revoked int, err error) {
 // a failed write leaves the sequence (and the dirty flag) untouched.
 func (h *hosted) record() *Record {
 	return &Record{
-		ID:    h.id,
-		Seq:   h.ckptSeq + 1,
-		Spec:  h.spec,
-		Steps: h.steps,
-		Ops:   h.ops,
+		ID:          h.id,
+		Seq:         h.ckptSeq + 1,
+		Spec:        h.spec,
+		Steps:       h.steps,
+		Ops:         h.ops,
+		IdentDigest: h.identDigest,
 	}
 }
 
 // replayHosted rebuilds a session from its checkpoint by deterministic
 // replay: reconstruct the env from the spec, then re-execute the journal
 // — ops at their recorded step counts, Step calls between them — until
-// the checkpointed step count is reached. Any failure on the way is
-// ErrReplayDiverged: the record passed its CRC but does not describe a
-// session this build can reproduce, so the caller quarantines it.
+// the checkpointed step count is reached, and require the replayed
+// identification history to match the record's digest. Any failure on
+// the way is ErrReplayDiverged: the record passed its CRC but does not
+// describe a session this build can reproduce, so the caller quarantines
+// it.
+//
+// A record without a digest predates the field. Its abstract-channel
+// sessions still replay exactly and are accepted; its signal-channel
+// sessions drew polar Box–Muller noise, which this build no longer does,
+// so they would reach the same step count with a different history and
+// are rejected.
 func replayHosted(rec *Record, tracer obs.Tracer) (*hosted, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrReplayDiverged, err)
@@ -266,6 +288,12 @@ func replayHosted(rec *Record, tracer obs.Tracer) (*hosted, error) {
 	}
 	if next < len(rec.Ops) {
 		return nil, fmt.Errorf("%w: %d ops beyond checkpointed step", ErrReplayDiverged, len(rec.Ops)-next)
+	}
+	switch {
+	case rec.IdentDigest == 0 && h.spec.Channel == "signal":
+		return nil, fmt.Errorf("%w: signal-channel record without ident_digest (written before the ziggurat noise sampler)", ErrReplayDiverged)
+	case rec.IdentDigest != 0 && rec.IdentDigest != h.identDigest:
+		return nil, fmt.Errorf("%w: identification digest %016x, record says %016x", ErrReplayDiverged, h.identDigest, rec.IdentDigest)
 	}
 	// The journal was re-appended by apply during replay; adopt the
 	// canonical one and reset the cadence clock — the rebuilt state is
