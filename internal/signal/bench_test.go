@@ -108,3 +108,17 @@ func BenchmarkModulateIDInto(b *testing.B) {
 		ModulateIDInto(&p, ids[i%len(ids)], DefaultSamplesPerBit)
 	}
 }
+
+// BenchmarkAddNoisePlane measures the AWGN kernel on one received slot
+// (a 385-sample plane at DefaultSamplesPerBit), the noise the signal
+// channel adds to every observation: 770 standard-normal draws.
+func BenchmarkAddNoisePlane(b *testing.B) {
+	var p Plane
+	ModulateIDInto(&p, tagid.New(7, 7), DefaultSamplesPerBit)
+	r := rng.New(11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AddNoisePlane(&p, 0.03, r)
+	}
+}
