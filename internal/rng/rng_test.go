@@ -120,25 +120,6 @@ func TestBoolEdges(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(8)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("normal mean %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance %v, want ~1", variance)
-	}
-}
-
 // binomialMoments checks empirical mean and variance of the sampler in one
 // (n, p) regime against theory within z standard errors.
 func binomialMoments(t *testing.T, r *Source, n int, p float64, samples int) {

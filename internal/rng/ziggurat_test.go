@@ -120,27 +120,3 @@ func TestZigguratStripAreas(t *testing.T) {
 		t.Errorf("base strip equivalent rectangle area %g, want %g", got, want)
 	}
 }
-
-// TestZigNormFloat64Symmetric checks that the sign bit splits draws evenly
-// and that the fast path, wedge and tail all occur.
-func TestZigNormFloat64Symmetric(t *testing.T) {
-	r := New(10)
-	const n = 1_000_000
-	neg, beyondR := 0, 0
-	for i := 0; i < n; i++ {
-		x := r.ZigNormFloat64()
-		if math.Signbit(x) {
-			neg++
-		}
-		if math.Abs(x) > zigR {
-			beyondR++
-		}
-	}
-	if se := math.Sqrt(n * 0.25); math.Abs(float64(neg)-n/2) > 5*se {
-		t.Errorf("%d of %d draws negative", neg, n)
-	}
-	p := math.Erfc(zigR / math.Sqrt2)
-	if se := math.Sqrt(n * p * (1 - p)); math.Abs(float64(beyondR)-n*p) > 5*se {
-		t.Errorf("%d draws beyond zigR, want %.0f ± %.0f", beyondR, n*p, 5*se)
-	}
-}

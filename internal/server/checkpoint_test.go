@@ -194,6 +194,10 @@ func TestReplayIdentDigest(t *testing.T) {
 		{"signal intact", "signal", func(*Record) {}, true},
 		{"abstract tampered digest", "abstract", func(r *Record) { r.IdentDigest ^= 1 }, false},
 		{"signal tampered digest", "signal", func(r *Record) { r.IdentDigest ^= 1 << 40 }, false},
+		// A different stream reaches the same step count with a different
+		// identification history; only the digest tells.
+		{"abstract other stream", "abstract", func(r *Record) { r.Spec.Seed++ }, false},
+		{"signal other stream", "signal", func(r *Record) { r.Spec.Seed++ }, false},
 		{"abstract without digest", "abstract", func(r *Record) { r.IdentDigest = 0 }, true},
 		{"signal without digest", "signal", func(r *Record) { r.IdentDigest = 0 }, false},
 	} {
