@@ -19,7 +19,7 @@ const (
 	zigV      = 9.91256303526217e-3   // area of every strip
 	zigScale  = 1 << 53               // abscissa resolution: 53 random bits
 	zigSign   = uint64(1) << 63       // float64 sign bit
-	zigNStrip = uint64(zigStrips - 1) // strip-index mask
+	zigMask   = uint64(zigStrips - 1) // strip-index mask
 )
 
 // zigK[i] is floor(2^53·x_{i-1}/x_i), the fast-accept bound on the 53-bit
@@ -64,7 +64,7 @@ func init() {
 // depend on Binomial's, so the samplers must not be unified.
 func (r *Source) ZigNormFloat64() float64 {
 	u := r.Uint64()
-	i := u & zigNStrip
+	i := u & zigMask
 	j := u >> 11
 	if j < zigK[i] {
 		return math.Float64frombits(math.Float64bits(float64(j)*zigW[i]) | u<<56&zigSign)
@@ -77,7 +77,7 @@ func (r *Source) ZigNormFloat64() float64 {
 // rejection.
 func (r *Source) zigSlow(u uint64) float64 {
 	for {
-		i := u & zigNStrip
+		i := u & zigMask
 		j := u >> 11
 		x := float64(j) * zigW[i]
 		switch {
