@@ -95,27 +95,55 @@ func TestPhyFacadeOffsets(t *testing.T) {
 	}
 }
 
+// TestSlotObserverFacade checks the slot observer every protocol feeds: a
+// TracerFunc watching SlotDone sees one event per report segment, its Seq
+// running contiguously from 0 to TotalSlots()-1 — SCAT's pre-estimation
+// probe slots included.
 func TestSlotObserverFacade(t *testing.T) {
-	r := ancrfid.NewRNG(6)
-	events := 0
-	env := &ancrfid.Env{
-		RNG:     r,
-		Tags:    ancrfid.Population(r, 200),
-		Channel: ancrfid.NewAbstractChannel(ancrfid.AbstractChannelConfig{Lambda: 2}, r),
-		Timing:  ancrfid.ICodeTiming(),
-		OnSlot: func(ev ancrfid.SlotEvent) {
-			events++
-			if ev.Identified < 0 || ev.Transmitters < 0 {
-				t.Fatal("bad event")
+	type tc struct {
+		name string
+		p    ancrfid.Protocol
+	}
+	var cases []tc
+	for _, name := range allProtocols {
+		p, err := ancrfid.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{name, p})
+	}
+	cases = append(cases, tc{"SCAT-2/pre-estimate",
+		ancrfid.NewSCATWith(ancrfid.SCATConfig{Lambda: 2, PreEstimate: true})})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := ancrfid.NewRNG(6)
+			events := 0
+			env := &ancrfid.Env{
+				RNG:     r,
+				Tags:    ancrfid.Population(r, 300),
+				Channel: ancrfid.NewAbstractChannel(ancrfid.AbstractChannelConfig{Lambda: 2}, r),
+				Timing:  ancrfid.ICodeTiming(),
+				Tracer: ancrfid.TracerFunc(func(ev ancrfid.TraceEvent) {
+					if ev.Kind != ancrfid.TraceSlotDone {
+						return
+					}
+					if ev.Seq != events {
+						t.Fatalf("SlotDone %d carries Seq %d", events, ev.Seq)
+					}
+					if ev.N1 < 0 || ev.N2 < 0 {
+						t.Fatalf("bad SlotDone %+v", ev)
+					}
+					events++
+				}),
 			}
-		},
-	}
-	m, err := ancrfid.NewFCAT(2).Run(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if events != m.TotalSlots() {
-		t.Fatalf("observer saw %d events over %d slots", events, m.TotalSlots())
+			m, err := c.p.Run(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if events != m.TotalSlots() {
+				t.Fatalf("observer saw %d SlotDone events over %d slots", events, m.TotalSlots())
+			}
+		})
 	}
 }
 
