@@ -105,9 +105,6 @@ type (
 	// PreEstimateConfig tunes SCAT's pre-estimation phase (the paper's
 	// reference [24] scheme implemented in this module).
 	PreEstimateConfig = prestep.Config
-	// SlotEvent describes one completed report segment for Env.OnSlot
-	// observers.
-	SlotEvent = protocol.SlotEvent
 )
 
 // Observability types, re-exported from the obs subsystem. A Tracer set on

@@ -255,7 +255,7 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 	id := ancrfid.Population(r, 1)[0]
 	env := &ancrfid.Env{}
 	allocs := testing.AllocsPerRun(100, func() {
-		env.NotifySlot(ancrfid.SlotEvent{Seq: 1, Transmitters: 2, Identified: 3})
+		env.EmitNow(ancrfid.TraceEvent{Kind: ancrfid.TraceSlotDone, Seq: 1, N1: 2, N2: 3})
 		env.NotifyIdentified(id, true)
 		env.TraceRunStart("FCAT-2")
 		env.TraceRunEnd("FCAT-2", ancrfid.Metrics{}, nil)

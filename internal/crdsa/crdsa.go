@@ -79,9 +79,9 @@ type session struct {
 	p *Protocol
 	policy
 
-	// Current-frame state, meaningful while InFrame: the frame's record
-	// store and the directly read tags awaiting the cancellation pass.
-	store *record.Store
+	// queue holds the tags read directly in the current frame, awaiting
+	// the cancellation pass. The frame's record store is the core's Store,
+	// nil between frames.
 	queue []tagid.ID
 }
 
@@ -145,12 +145,12 @@ func (s *session) Step() (bool, error) {
 		// Tags already identified in earlier frames (but retransmitting
 		// after a lost acknowledgement) are marked known so their replicas
 		// are subtracted on sight.
-		s.store = record.NewStore()
-		s.store.Tracer = s.Env.Tracer
-		s.store.Quarantine = s.Env.Hardened()
+		s.Store = record.NewStore()
+		s.Store.Tracer = s.Env.Tracer
+		s.Store.Quarantine = s.Env.Hardened()
 		for _, id := range unread {
 			if _, ok := s.Seen[id]; ok {
-				s.store.MarkKnown(id)
+				s.Store.MarkKnown(id)
 			}
 		}
 		s.queue = s.queue[:0]
@@ -167,7 +167,7 @@ func (s *session) Step() (bool, error) {
 		s.readDirect(j, obs.ID)
 	case channel.Collision:
 		s.M.CollisionSlots++
-		for _, res := range s.store.Add(uint64(j), obs.Mix, tx) {
+		for _, res := range s.Store.Add(uint64(j), obs.Mix, tx) {
 			s.countResolved(j, res.ID)
 		}
 	case channel.Captured:
@@ -177,8 +177,8 @@ func (s *session) Step() (bool, error) {
 		// the captured tag known, Add subtracts it on arrival.
 		s.M.CollisionSlots++
 		s.readDirect(j, obs.ID)
-		s.store.MarkKnown(obs.ID)
-		for _, res := range s.store.Add(uint64(j), obs.Mix, tx) {
+		s.Store.MarkKnown(obs.ID)
+		for _, res := range s.Store.Add(uint64(j), obs.Mix, tx) {
 			s.countResolved(j, res.ID)
 		}
 	}
@@ -190,11 +190,11 @@ func (s *session) Step() (bool, error) {
 	// subtracted from their slots; every stripped-bare record yields a new
 	// tag, whose replicas the store cascades through in turn.
 	for _, id := range s.queue {
-		for _, res := range s.store.OnIdentified(id) {
+		for _, res := range s.Store.OnIdentified(id) {
 			s.countResolved(int(res.Slot), res.ID)
 		}
 	}
-	s.store = nil
+	s.Store = nil
 	if s.placed == 0 {
 		return true, nil
 	}
@@ -215,34 +215,21 @@ func (s *session) Step() (bool, error) {
 // A tag can appear in two singleton slots of one frame; it is read once
 // (and queued for the cancellation pass) and its twin is simply redundant.
 func (s *session) readDirect(j int, id tagid.ID) {
-	if _, dup := s.Seen[id]; !dup {
-		s.Seen[id] = struct{}{}
-		s.M.DirectIDs++
-		s.Env.NotifyIdentified(id, false)
+	if s.Count(id, false) {
 		s.queue = append(s.queue, id)
 	}
-	s.ack(j, id, obsev.AckDirect)
+	if s.Ack(j, id, obsev.AckDirect) {
+		s.Delivered(id)
+	}
 }
 
 // countResolved counts a tag recovered by interference cancellation and
-// acknowledges it. seq is the slot the acknowledgement is attributed to:
-// the current slot for record-time resolutions, the record's own slot for
-// the frame-end cascade.
+// acknowledges it; a duplicate is not acknowledged again. seq is the slot
+// the acknowledgement is attributed to: the current slot for record-time
+// resolutions, the record's own slot for the frame-end cascade.
 func (s *session) countResolved(seq int, id tagid.ID) {
-	if _, dup := s.Seen[id]; dup {
-		return
-	}
-	s.Seen[id] = struct{}{}
-	s.M.ResolvedIDs++
-	s.Env.NotifyIdentified(id, true)
-	s.ack(seq, id, obsev.AckResolvedID)
-}
-
-func (s *session) ack(seq int, id tagid.ID, kind obsev.AckKind) {
-	delivered := s.Env.AckDelivered()
-	s.Env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: seq, ID: id, Sub: uint8(kind), Flag: delivered})
-	if delivered {
-		s.Read[id] = struct{}{}
+	if s.Count(id, true) && s.Ack(seq, id, obsev.AckResolvedID) {
+		s.Delivered(id)
 	}
 }
 
@@ -259,7 +246,7 @@ func (s *session) Admit(ids []tagid.ID) {
 func (s *session) Revoke(ids []tagid.ID) {
 	s.RevokeEach(ids, func(id tagid.ID) {
 		if _, identified := s.Seen[id]; s.InFrame && !identified {
-			s.store.Revoke(id)
+			s.Store.Revoke(id)
 		}
 		if s.backlog > 1 {
 			s.backlog--
@@ -267,39 +254,22 @@ func (s *session) Revoke(ids []tagid.ID) {
 	})
 }
 
-// checkpoint is CRDSA's state beyond the framed core; the store and the
-// queue exist only mid-frame.
+// checkpoint is CRDSA's state beyond the framed core.
 type checkpoint struct {
 	policy
-	store *record.Store
 	queue []tagid.ID
 }
 
 // Snapshot implements protocol.Session.
 func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	cp := checkpoint{policy: s.policy}
-	if s.InFrame {
-		var err error
-		if cp.store, err = s.store.Clone(); err != nil {
-			return nil, err
-		}
-		cp.queue = append([]tagid.ID(nil), s.queue...)
-	}
-	return s.SnapshotWith(cp), nil
+	return s.SnapshotWith(checkpoint{s.policy, append([]tagid.ID(nil), s.queue...)})
 }
 
 // Restore implements protocol.Session.
 func (s *session) Restore(c protocol.Checkpoint) error {
 	return s.RestoreWith(c, func(x any) error {
 		cp := x.(checkpoint)
-		var store *record.Store
-		if cp.store != nil {
-			var err error
-			if store, err = cp.store.Clone(); err != nil {
-				return err
-			}
-		}
-		s.policy, s.store = cp.policy, store
+		s.policy = cp.policy
 		s.queue = append([]tagid.ID(nil), cp.queue...)
 		return nil
 	})

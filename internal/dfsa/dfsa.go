@@ -120,7 +120,7 @@ func (s *session) Step() (bool, error) {
 	// and acknowledged, but Schoute's estimator still counts it as a
 	// collision.
 	tx, obs := s.Observe()
-	if s.ReadSlot(obs) {
+	if s.ReadSlot(tx, obs) {
 		s.collisions++
 	}
 	if !s.EndSlot(obs.Kind, len(tx)) {
@@ -142,7 +142,7 @@ func (s *session) Step() (bool, error) {
 
 // Snapshot implements protocol.Session.
 func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	return s.SnapshotWith(s.policy), nil
+	return s.SnapshotWith(s.policy)
 }
 
 // Restore implements protocol.Session.

@@ -155,7 +155,7 @@ func (s *session) Step() (bool, error) {
 	// A captured slot is read like a singleton but still counts as a
 	// collision for the estimator.
 	tx, obs := s.Observe()
-	if s.ReadSlot(obs) {
+	if s.ReadSlot(tx, obs) {
 		s.collisions++
 	}
 	if !s.EndSlot(obs.Kind, len(tx)) {
@@ -188,7 +188,7 @@ func (s *session) Step() (bool, error) {
 
 // Snapshot implements protocol.Session.
 func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	return s.SnapshotWith(s.policy), nil
+	return s.SnapshotWith(s.policy)
 }
 
 // Restore implements protocol.Session.

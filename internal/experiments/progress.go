@@ -6,6 +6,7 @@ import (
 
 	"github.com/ancrfid/ancrfid/internal/dfsa"
 	"github.com/ancrfid/ancrfid/internal/fcat"
+	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/plot"
 	"github.com/ancrfid/ancrfid/internal/protocol"
 	"github.com/ancrfid/ancrfid/internal/sim"
@@ -88,29 +89,14 @@ func progressCurve(opts Options, p protocol.Protocol, tags, step int) ([]int, er
 		Seed:    opts.Seed,
 		Lambda:  2,
 		TxModel: opts.TxModel,
+		Tracer: obs.Func(func(ev obs.Event) {
+			if ev.Kind == obs.SlotDone && ev.Seq%step == 0 {
+				curve = append(curve, ev.N2)
+			}
+		}),
 	}
-	// RunOnce builds the env internally; hook the observer through a
-	// wrapper protocol that injects OnSlot before delegating.
-	hooked := observerProtocol{inner: p, hook: func(ev protocol.SlotEvent) {
-		if ev.Seq%step == 0 {
-			curve = append(curve, ev.Identified)
-		}
-	}}
-	if _, err := sim.RunOnce(hooked, cfg, 0); err != nil {
+	if _, err := sim.RunOnce(p, cfg, 0); err != nil {
 		return nil, err
 	}
 	return curve, nil
-}
-
-// observerProtocol injects a slot observer into the run's environment.
-type observerProtocol struct {
-	inner protocol.Protocol
-	hook  func(protocol.SlotEvent)
-}
-
-func (o observerProtocol) Name() string { return o.inner.Name() }
-
-func (o observerProtocol) Run(env *protocol.Env) (protocol.Metrics, error) {
-	env.OnSlot = o.hook
-	return o.inner.Run(env)
 }

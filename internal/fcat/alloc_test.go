@@ -5,22 +5,11 @@ import (
 
 	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/record"
-	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
-// newAllocRun builds a session in the state Begin would, against the given env.
+// newAllocRun opens a session against the given env.
 func newAllocRun(e *protocol.Env) *session {
-	return &session{
-		cfg:    New(Config{}).cfg,
-		env:    e,
-		m:      protocol.Metrics{Tags: len(e.Tags)},
-		active: protocol.NewActiveSet(e.Tags),
-		store:  record.NewStore(),
-		seen:   make(map[tagid.ID]struct{}, len(e.Tags)),
-		buf:    make([]tagid.ID, 0, 64),
-		budget: e.SlotBudget(),
-	}
+	return New(Config{}).Begin(e).(*session)
 }
 
 // TestEmptySlotZeroAlloc requires the steady-state empty slot (p = 0: no
@@ -66,8 +55,8 @@ func TestSingletonSlotZeroAlloc(t *testing.T) {
 				t.Fatalf("warmup slot %d: kind %v, want singleton", i, kind)
 			}
 		}
-		if r.m.Identified() != 1 {
-			t.Fatalf("unexpected warmup state: %+v", r.m)
+		if r.M.Identified() != 1 {
+			t.Fatalf("unexpected warmup state: %+v", r.M)
 		}
 		allocs := testing.AllocsPerRun(300, func() {
 			if _, err := r.doSlot(1); err != nil {

@@ -23,17 +23,12 @@ package fcat
 import (
 	"fmt"
 	"io"
-	"maps"
-	"time"
 
-	"github.com/ancrfid/ancrfid/internal/air"
 	"github.com/ancrfid/ancrfid/internal/analysis"
 	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/estimate"
 	obsev "github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/record"
-	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
@@ -187,20 +182,19 @@ const (
 	bootRelocate
 )
 
-// session carries the mutable state of one FCAT execution.
+// session carries the mutable state of one FCAT execution on top of the
+// session core, whose Store holds the collision records.
 type session struct {
-	p      *Protocol
+	protocol.Core
 	cfg    Config
-	env    *protocol.Env
-	m      protocol.Metrics
-	clock  air.Clock
 	active *protocol.ActiveSet
-	store  *record.Store
-	seen   map[tagid.ID]struct{}
 	buf    []tagid.ID
-	slot   uint64
-	budget int
+	policy
+}
 
+// policy is FCAT's own control state: a plain value, so checkpoints copy it
+// whole.
+type policy struct {
 	phase   phase
 	bootP   float64
 	bootWhy bootReason
@@ -216,75 +210,23 @@ type session struct {
 	// oracleN is the true population the oracle estimator consults; Admit
 	// and Revoke keep it current.
 	oracleN int
-
-	err error
 }
 
 var _ protocol.Session = (*session)(nil)
 
-// sessionScratch is the reusable core of a session (see protocol.Scratch):
-// the active set, the record store and the seen map are session-sized, so a
-// campaign worker reinitialises them in place between runs instead of
-// reallocating. The per-slot transmitter buffer stays per-session — its
-// slice header would go stale in the scratch as the session grows it.
-type sessionScratch struct {
-	active *protocol.ActiveSet
-	store  *record.Store
-	seen   map[tagid.ID]struct{}
-}
-
-// scratchKey namespaces this protocol's state in the shared container.
-const scratchKey = "fcat"
-
 // Begin implements protocol.SessionProtocol.
 func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
-	s := &session{
-		p:       p,
-		cfg:     p.cfg,
-		env:     env,
-		m:       protocol.Metrics{Tags: len(env.Tags)},
-		buf:     make([]tagid.ID, 0, 64),
-		budget:  env.SlotBudget(),
-		oracleN: len(env.Tags),
-	}
-	if sc, _ := env.Scratch.Get(scratchKey).(*sessionScratch); sc != nil {
-		sc.active.ResetTags(env.Tags)
-		sc.store.Reset()
-		clear(sc.seen)
-		s.active, s.store, s.seen = sc.active, sc.store, sc.seen
-	} else {
-		s.active = protocol.NewActiveSet(env.Tags)
-		s.store = record.NewStore()
-		s.seen = make(map[tagid.ID]struct{}, len(env.Tags))
-		env.Scratch.Put(scratchKey, &sessionScratch{active: s.active, store: s.store, seen: s.seen})
-	}
-	s.store.Tracer = env.Tracer
-	s.store.Quarantine = env.Hardened()
-	if env.Stream {
-		s.active.SetStream(true)
-		if rel, ok := env.Channel.(channel.Releaser); ok {
-			s.store.SetReleaser(rel)
-		}
-	}
-	env.Clock = &s.clock
-	env.TraceRunStart(p.Name())
+	s := &session{cfg: p.cfg, buf: make([]tagid.ID, 0, 64)}
+	s.active = s.OpenPolled(p.Name(), env, "fcat")
+	s.oracleN = len(env.Tags)
 	return s
-}
-
-// Protocol implements protocol.Session.
-func (r *session) Protocol() string { return r.p.Name() }
-
-// fail records a terminal error.
-func (r *session) fail(err error) (bool, error) {
-	r.err = err
-	return false, err
 }
 
 // Step implements protocol.Session: it folds slot-free transitions until
 // one report segment has been run.
 func (r *session) Step() (bool, error) {
-	if r.err != nil {
-		return false, r.err
+	if r.Err != nil {
+		return false, r.Err
 	}
 	for {
 		switch r.phase {
@@ -307,11 +249,11 @@ func (r *session) Step() (bool, error) {
 			r.bootP /= 2
 			kind, err := r.doSlotAdvertised(r.bootP)
 			if err != nil {
-				return r.fail(err)
+				return r.Fail(err)
 			}
 			if kind == channel.Collision || kind == channel.Captured {
 				if r.bootP < 1e-9 {
-					return r.fail(protocol.ErrNoProgress)
+					return r.Fail(protocol.ErrNoProgress)
 				}
 				return false, nil // next bootstrap slot at bootP/2
 			}
@@ -328,7 +270,7 @@ func (r *session) Step() (bool, error) {
 		case phBootConfirm:
 			kind, err := r.doSlotAdvertised(1)
 			if err != nil {
-				return r.fail(err)
+				return r.Fail(err)
 			}
 			if kind == channel.Empty {
 				return r.finishBootstrap(0)
@@ -336,7 +278,7 @@ func (r *session) Step() (bool, error) {
 			return r.finishBootstrap(1 / r.bootP)
 
 		case phFrameDecide:
-			remaining := r.estimateN - float64(r.m.Identified())
+			remaining := r.estimateN - float64(r.M.Identified())
 			if remaining < 0.5 {
 				// The reader believes it has read everything: probe with
 				// p = 1.
@@ -348,10 +290,10 @@ func (r *session) Step() (bool, error) {
 				p = 1
 			}
 			r.frameP = p
-			r.clock.Add(r.env.Timing.FrameAdvertisement())
-			r.env.EmitNow(obsev.Event{Kind: obsev.FrameStart, Seq: int(r.slot), N1: r.m.Frames + 1,
+			r.Charge(r.Env.Timing.FrameAdvertisement())
+			r.Env.EmitNow(obsev.Event{Kind: obsev.FrameStart, Seq: r.Slots(), N1: r.M.Frames + 1,
 				N2: r.cfg.FrameSize, F1: p})
-			r.identifiedBefore = r.m.Identified()
+			r.identifiedBefore = r.M.Identified()
 			r.nc, r.n0 = 0, 0
 			r.frameJ = 0
 			r.phase = phInFrame
@@ -360,7 +302,7 @@ func (r *session) Step() (bool, error) {
 		case phInFrame:
 			kind, err := r.doSlot(r.frameP)
 			if err != nil {
-				return r.fail(err)
+				return r.Fail(err)
 			}
 			switch kind {
 			case channel.Empty:
@@ -377,7 +319,7 @@ func (r *session) Step() (bool, error) {
 			return false, nil
 
 		case phFrameEnd:
-			r.m.Frames++
+			r.M.Frames++
 			if r.n0 == r.cfg.FrameSize {
 				// A completely silent frame: either the field is exhausted
 				// or the estimate overshoots so far that nobody reports. A
@@ -394,7 +336,7 @@ func (r *session) Step() (bool, error) {
 		case phProbe:
 			kind, err := r.doSlotAdvertised(1)
 			if err != nil {
-				return r.fail(err)
+				return r.Fail(err)
 			}
 			if kind == channel.Empty {
 				// The field is exhausted. Staying in phProbe keeps the
@@ -416,7 +358,7 @@ func (r *session) Step() (bool, error) {
 			return false, nil
 
 		case phOracleDecide:
-			remaining := r.oracleN - r.m.Identified()
+			remaining := r.oracleN - r.M.Identified()
 			if remaining <= 0 {
 				r.phase = phProbe
 				continue
@@ -426,8 +368,8 @@ func (r *session) Step() (bool, error) {
 				p = 1
 			}
 			r.frameP = p
-			r.clock.Add(r.env.Timing.FrameAdvertisement())
-			r.env.EmitNow(obsev.Event{Kind: obsev.FrameStart, Seq: int(r.slot), N1: r.m.Frames + 1,
+			r.Charge(r.Env.Timing.FrameAdvertisement())
+			r.Env.EmitNow(obsev.Event{Kind: obsev.FrameStart, Seq: r.Slots(), N1: r.M.Frames + 1,
 				N2: r.cfg.FrameSize, F1: p})
 			r.frameJ = 0
 			r.phase = phOracleFrame
@@ -435,17 +377,17 @@ func (r *session) Step() (bool, error) {
 
 		case phOracleFrame:
 			if _, err := r.doSlot(r.frameP); err != nil {
-				return r.fail(err)
+				return r.Fail(err)
 			}
 			r.frameJ++
 			if r.frameJ == r.cfg.FrameSize {
-				r.m.Frames++
+				r.M.Frames++
 				r.phase = phOracleDecide
 			}
 			return false, nil
 
 		default:
-			return r.fail(fmt.Errorf("fcat: corrupt session phase %d", r.phase))
+			return r.Fail(fmt.Errorf("fcat: corrupt session phase %d", r.phase))
 		}
 	}
 }
@@ -461,14 +403,14 @@ func (r *session) finishBootstrap(est float64) (bool, error) {
 			return true, nil
 		}
 		r.estimateN = est
-		r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: est})
+		r.Env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: est})
 		r.phase = phFrameDecide
 		return false, nil
 	}
-	r.estimateN = float64(r.m.Identified()) + est
+	r.estimateN = float64(r.M.Identified()) + est
 	r.tracker = estimate.Tracker{}
-	r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: r.m.Frames, F1: r.estimateN,
-		N2: r.m.Identified()})
+	r.Env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: r.M.Frames, F1: r.estimateN,
+		N2: r.M.Identified()})
 	r.phase = phFrameDecide
 	return false, nil
 }
@@ -482,13 +424,13 @@ func (r *session) updateEstimate() {
 		// Every slot collided: the believed deficit is far too low. Grow
 		// the deficit geometrically (doubling the total would double-count
 		// the already-identified tags and overshoot).
-		deficit := r.estimateN - float64(r.m.Identified())
+		deficit := r.estimateN - float64(r.M.Identified())
 		if deficit < 1 {
 			deficit = 1
 		}
-		r.estimateN = float64(r.m.Identified()) + 2*deficit + 1
-		r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: r.m.Frames, F1: r.estimateN,
-			N2: r.m.Identified()})
+		r.estimateN = float64(r.M.Identified()) + 2*deficit + 1
+		r.Env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: r.M.Frames, F1: r.estimateN,
+			N2: r.M.Identified()})
 		r.phase = phFrameDecide
 		return
 	}
@@ -497,7 +439,7 @@ func (r *session) updateEstimate() {
 	total := frameEst + float64(r.identifiedBefore)
 	if r.cfg.Trace != nil {
 		fmt.Fprintf(r.cfg.Trace, "frame=%d p=%.5f nc=%d n0=%d frameEst=%.0f total=%.0f est=%.0f identified=%d\n",
-			r.m.Frames, r.frameP, r.nc, r.n0, frameEst, total, r.estimateN, r.m.Identified())
+			r.M.Frames, r.frameP, r.nc, r.n0, frameEst, total, r.estimateN, r.M.Identified())
 	}
 	if r.cfg.LastFrameOnly {
 		r.estimateN = total
@@ -509,8 +451,8 @@ func (r *session) updateEstimate() {
 		r.tracker.Add(total)
 		r.estimateN, _ = r.tracker.Mean()
 	}
-	r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: r.m.Frames, F1: r.estimateN,
-		F2: total, N2: r.m.Identified()})
+	r.Env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, N1: r.M.Frames, F1: r.estimateN,
+		F2: total, N2: r.M.Identified()})
 	r.phase = phFrameDecide
 }
 
@@ -520,13 +462,13 @@ func (r *session) updateEstimate() {
 // the population bookkeeping changes here.
 func (r *session) Admit(ids []tagid.ID) {
 	for _, id := range ids {
-		if _, identified := r.seen[id]; identified {
+		if _, identified := r.Seen[id]; identified {
 			continue
 		}
 		if r.active.Add(id) {
-			r.m.Tags++
+			r.M.Tags++
 			r.oracleN++
-			r.store.Readmit(id)
+			r.Store.Readmit(id)
 		}
 	}
 }
@@ -539,131 +481,37 @@ func (r *session) Revoke(ids []tagid.ID) {
 		if !r.active.Remove(id) {
 			continue
 		}
-		if _, identified := r.seen[id]; !identified {
-			r.store.Revoke(id)
+		if _, identified := r.Seen[id]; !identified {
+			r.Store.Revoke(id)
 			r.oracleN--
-			if r.estimateN > float64(r.m.Identified()) {
+			if r.estimateN > float64(r.M.Identified()) {
 				r.estimateN--
 			}
 		}
 	}
 }
 
-// Metrics implements protocol.Session.
-func (r *session) Metrics() protocol.Metrics {
-	m := r.m
-	m.OnAir = r.clock.Elapsed()
-	return m
-}
-
-// Elapsed implements protocol.Session.
-func (r *session) Elapsed() time.Duration { return r.clock.Elapsed() }
-
 // Outstanding implements protocol.Session.
 func (r *session) Outstanding() int { return r.active.Len() }
 
-// checkpoint is a deep copy of an FCAT session's state.
+// checkpoint is FCAT's state beyond the core.
 type checkpoint struct {
-	name   string
-	m      protocol.Metrics
-	clock  air.Clock
+	policy
 	active *protocol.ActiveSet
-	store  *record.Store
-	seen   map[tagid.ID]struct{}
-	slot   uint64
-	budget int
-
-	phase   phase
-	bootP   float64
-	bootWhy bootReason
-
-	estimateN float64
-	tracker   estimate.Tracker
-
-	frameP           float64
-	frameJ           int
-	nc, n0           int
-	identifiedBefore int
-	oracleN          int
-
-	err error
-
-	rng       rng.Source
-	chanState any
 }
-
-// Protocol implements protocol.Checkpoint.
-func (c *checkpoint) Protocol() string { return c.name }
 
 // Snapshot implements protocol.Session.
 func (r *session) Snapshot() (protocol.Checkpoint, error) {
-	store, err := r.store.Clone()
-	if err != nil {
-		return nil, err
-	}
-	cp := &checkpoint{
-		name:             r.p.Name(),
-		m:                r.m,
-		clock:            r.clock,
-		active:           r.active.Clone(),
-		store:            store,
-		seen:             maps.Clone(r.seen),
-		slot:             r.slot,
-		budget:           r.budget,
-		phase:            r.phase,
-		bootP:            r.bootP,
-		bootWhy:          r.bootWhy,
-		estimateN:        r.estimateN,
-		tracker:          r.tracker,
-		frameP:           r.frameP,
-		frameJ:           r.frameJ,
-		nc:               r.nc,
-		n0:               r.n0,
-		identifiedBefore: r.identifiedBefore,
-		oracleN:          r.oracleN,
-		err:              r.err,
-		rng:              *r.env.RNG,
-	}
-	if st, ok := r.env.Channel.(channel.Stateful); ok {
-		cp.chanState = st.SnapshotState()
-	}
-	return cp, nil
+	return r.SnapshotWith(checkpoint{r.policy, r.active.Clone()})
 }
 
 // Restore implements protocol.Session.
 func (r *session) Restore(c protocol.Checkpoint) error {
-	cp, ok := c.(*checkpoint)
-	if !ok || cp.name != r.p.Name() {
-		return protocol.ErrCheckpointMismatch
-	}
-	store, err := cp.store.Clone()
-	if err != nil {
-		return err
-	}
-	r.m = cp.m
-	r.clock = cp.clock
-	r.active = cp.active.Clone()
-	r.store = store
-	r.seen = maps.Clone(cp.seen)
-	r.slot = cp.slot
-	r.budget = cp.budget
-	r.phase = cp.phase
-	r.bootP = cp.bootP
-	r.bootWhy = cp.bootWhy
-	r.estimateN = cp.estimateN
-	r.tracker = cp.tracker
-	r.frameP = cp.frameP
-	r.frameJ = cp.frameJ
-	r.nc = cp.nc
-	r.n0 = cp.n0
-	r.identifiedBefore = cp.identifiedBefore
-	r.oracleN = cp.oracleN
-	r.err = cp.err
-	*r.env.RNG = cp.rng
-	if cp.chanState != nil {
-		r.env.Channel.(channel.Stateful).RestoreState(cp.chanState)
-	}
-	return nil
+	return r.RestoreWith(c, func(x any) error {
+		cp := x.(checkpoint)
+		r.policy, r.active = cp.policy, cp.active.Clone()
+		return nil
+	})
 }
 
 // estimateFrame inverts the configured per-frame estimator.
@@ -688,102 +536,32 @@ func (r *session) estimateFrame(nc, n0, n1 int, p float64) (float64, bool) {
 // doSlotAdvertised runs one slot preceded by its own advertisement (used
 // by bootstrap and termination probes, which change p for a single slot).
 func (r *session) doSlotAdvertised(p float64) (channel.Kind, error) {
-	r.clock.Add(r.env.Timing.SlotAdvertisement())
-	r.env.EmitNow(obsev.Event{Kind: obsev.Advertisement, Seq: int(r.slot), F1: p})
+	r.Charge(r.Env.Timing.SlotAdvertisement())
+	r.Env.EmitNow(obsev.Event{Kind: obsev.Advertisement, Seq: r.Slots(), F1: p})
 	return r.doSlot(p)
 }
 
 // doSlot executes one report+acknowledgement slot at report probability p.
+// Collisions are recorded for ANC, and every recovered ID is acknowledged
+// by its slot's index (Resolved).
 func (r *session) doSlot(p float64) (channel.Kind, error) {
-	if int(r.slot) >= r.budget {
-		return 0, protocol.ErrNoProgress
+	slot, err := r.NextSlot()
+	if err != nil {
+		return 0, err
 	}
-	slot := r.slot
-	r.slot++
-	r.clock.Add(r.env.Timing.Slot())
-
-	r.buf = r.active.Transmitters(r.env.RNG, r.env.TxModel, slot, p, r.buf)
-	obs := r.env.Channel.Observe(r.buf)
-	switch obs.Kind {
-	case channel.Empty:
-		r.m.EmptySlots++
-	case channel.Singleton:
-		r.m.SingletonSlots++
-		r.countDirect(obs.ID)
-		delivered := r.env.AckDelivered()
-		r.env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: obs.ID,
-			Sub: uint8(obsev.AckDirect), Flag: delivered})
-		if delivered {
-			r.active.Remove(obs.ID)
-		}
-		for _, res := range r.store.OnIdentified(obs.ID) {
-			r.countResolved(res)
-		}
-	case channel.Collision:
-		r.m.CollisionSlots++
-		// Storing the record can resolve it immediately when all but one
-		// member are known retransmitters (lost-acknowledgement recovery).
-		for _, res := range r.store.Add(slot, obs.Mix, r.buf) {
-			r.countResolved(res)
-		}
-	case channel.Captured:
-		// Capture effect: the strongest constituent decoded through the
-		// collision. The slot still counts as a collision (it occupied the
-		// air as one), the captured ID is acknowledged like a singleton
-		// decode, and the recording joins the store as a residual — Add
-		// subtracts the now-known captured tag, so a 2-collision capture
-		// resolves its partner on the spot.
-		r.m.CollisionSlots++
-		r.countDirect(obs.ID)
-		delivered := r.env.AckDelivered()
-		r.env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: obs.ID,
-			Sub: uint8(obsev.AckDirect), Flag: delivered})
-		if delivered {
-			r.active.Remove(obs.ID)
-		}
-		for _, res := range r.store.OnIdentified(obs.ID) {
-			r.countResolved(res)
-		}
-		for _, res := range r.store.Add(slot, obs.Mix, r.buf) {
-			r.countResolved(res)
-		}
-	}
-	r.m.TagTransmissions += len(r.buf)
-	r.env.NotifySlot(protocol.SlotEvent{
-		Seq:          r.m.TotalSlots() - 1,
-		Kind:         obs.Kind,
-		Transmitters: len(r.buf),
-		Identified:   r.m.Identified(),
-	})
-	return obs.Kind, nil
+	r.Charge(r.Env.Timing.Slot())
+	r.buf = r.active.Transmitters(r.Env.RNG, r.Env.TxModel, uint64(slot), p, r.buf)
+	o := r.Env.Channel.Observe(r.buf)
+	r.Decode(slot, r.buf, o, r)
+	r.CloseSlot(o.Kind, len(r.buf))
+	return o.Kind, nil
 }
 
-// countDirect records a first-time identification from a singleton slot;
-// duplicate reads of a tag whose acknowledgement was lost are discarded
-// (Section IV-E).
-func (r *session) countDirect(id tagid.ID) {
-	if _, dup := r.seen[id]; dup {
-		return
-	}
-	r.seen[id] = struct{}{}
-	r.m.DirectIDs++
-	r.env.NotifyIdentified(id, false)
-}
+// Delivered implements protocol.Reader: an acknowledged tag stops
+// transmitting.
+func (r *session) Delivered(id tagid.ID) { r.active.Remove(id) }
 
-// countResolved records an ID recovered from a collision record and
-// broadcasts the resolved slot's 23-bit index so the tag stops
-// (Section V-A); the tag stays active if that acknowledgement is lost.
-func (r *session) countResolved(res record.Resolved) {
-	if _, dup := r.seen[res.ID]; !dup {
-		r.seen[res.ID] = struct{}{}
-		r.m.ResolvedIDs++
-		r.env.NotifyIdentified(res.ID, true)
-	}
-	r.clock.Add(r.env.Timing.ResolvedIndexAck())
-	delivered := r.env.AckDelivered()
-	r.env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(r.slot) - 1, ID: res.ID,
-		Sub: uint8(obsev.AckResolvedIndex), Flag: delivered})
-	if delivered {
-		r.active.Remove(res.ID)
-	}
-}
+// Resolved implements protocol.Reader: FCAT acknowledges a recovered ID by
+// broadcasting the resolved slot's 23-bit index (Section V-A); the tag
+// stays active if that acknowledgement is lost.
+func (r *session) Resolved(seq int, id tagid.ID) { r.ResolveByIndex(seq, id, r) }

@@ -24,8 +24,6 @@ import (
 	"github.com/ancrfid/ancrfid/internal/estimate"
 	obsev "github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/record"
-	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
 // Config parameterises MDFSA.
@@ -76,8 +74,7 @@ func (p *Protocol) Run(env *protocol.Env) (protocol.Metrics, error) {
 // additions are the persistent record store and the MPR re-estimate.
 type session struct {
 	protocol.Framed
-	p     *Protocol
-	store *record.Store
+	p *Protocol
 	policy
 }
 
@@ -98,7 +95,7 @@ func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
 	s := &session{p: p}
 	// Records beyond the decode capability can never resolve (a captured
 	// slot's residual still fits: k members leave k-1 unknowns).
-	s.store = s.OpenRecorded(p.Name(), env, "mdfsa", p.cfg.M+1)
+	s.OpenRecorded(p.Name(), env, "mdfsa", p.cfg.M+1)
 	s.frameSize = p.cfg.InitialFrame
 	if s.frameSize <= 0 {
 		s.frameSize = estimate.MPRFrameSize(float64(len(env.Tags)), p.cfg.M)
@@ -133,7 +130,7 @@ func (s *session) Step() (bool, error) {
 	// by cascade once enough constituents are known. The collision still
 	// feeds the backlog estimator.
 	tx, obs := s.Observe()
-	if s.ReadRecorded(s.store, tx, obs) {
+	if s.ReadSlot(tx, obs) {
 		s.collisions++
 	}
 	if !s.EndSlot(obs.Kind, len(tx)) {
@@ -161,47 +158,15 @@ func (s *session) Step() (bool, error) {
 	return false, nil
 }
 
-// Admit implements protocol.Session: the tags join the unread backlog and
-// first transmit in the next frame's bucketing.
-func (s *session) Admit(ids []tagid.ID) { s.AdmitEach(ids, s.store.Readmit) }
-
-// Revoke implements protocol.Session: the tags leave the backlog, stop
-// transmitting immediately, and the pending record memberships of every
-// unidentified one are voided so stale cascades cannot identify a departed
-// tag.
-func (s *session) Revoke(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.Seen[id]; !identified {
-			s.store.Revoke(id)
-		}
-	}
-	s.Framed.Revoke(ids)
-}
-
-// checkpoint is MDFSA's state beyond the framed core.
-type checkpoint struct {
-	policy
-	store *record.Store
-}
-
 // Snapshot implements protocol.Session.
 func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	store, err := s.store.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return s.SnapshotWith(checkpoint{s.policy, store}), nil
+	return s.SnapshotWith(s.policy)
 }
 
 // Restore implements protocol.Session.
 func (s *session) Restore(c protocol.Checkpoint) error {
 	return s.RestoreWith(c, func(x any) error {
-		cp := x.(checkpoint)
-		store, err := cp.store.Clone()
-		if err != nil {
-			return err
-		}
-		s.policy, s.store = cp.policy, store
+		s.policy = x.(policy)
 		return nil
 	})
 }

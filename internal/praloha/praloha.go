@@ -27,8 +27,6 @@ import (
 
 	"github.com/ancrfid/ancrfid/internal/estimate"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/record"
-	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
 // Config parameterises pseudo-random ALOHA.
@@ -71,8 +69,7 @@ func (p *Protocol) Run(env *protocol.Env) (protocol.Metrics, error) {
 // bucketing, roster-sized frames and a persistent record store.
 type session struct {
 	protocol.Framed
-	p     *Protocol
-	store *record.Store
+	p *Protocol
 	// frame is the frame counter hashed into every tag's slot choice; it
 	// only ever increments, so no two frames repeat a schedule.
 	frame uint64
@@ -83,7 +80,7 @@ var _ protocol.Session = (*session)(nil)
 // Begin implements protocol.SessionProtocol.
 func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
 	s := &session{p: p}
-	s.store = s.OpenRecorded(p.Name(), env, "praloha", p.cfg.M+1)
+	s.OpenRecorded(p.Name(), env, "praloha", p.cfg.M+1)
 	return s
 }
 
@@ -121,7 +118,7 @@ func (s *session) Step() (bool, error) {
 	}
 
 	tx, obs := s.Observe()
-	s.ReadRecorded(s.store, tx, obs)
+	s.ReadSlot(tx, obs)
 	if !s.EndSlot(obs.Kind, len(tx)) {
 		return false, nil
 	}
@@ -131,48 +128,15 @@ func (s *session) Step() (bool, error) {
 	return s.Transmissions == 0, nil
 }
 
-// Admit implements protocol.Session: the tags join the unread backlog and
-// first transmit in the next frame's bucketing (their hash schedule covers
-// every frame, so no handshake is needed).
-func (s *session) Admit(ids []tagid.ID) { s.AdmitEach(ids, s.store.Readmit) }
-
-// Revoke implements protocol.Session: the tags leave the backlog, stop
-// transmitting immediately, and the pending record memberships of every
-// unidentified one are voided so stale cascades cannot identify a departed
-// tag.
-func (s *session) Revoke(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.Seen[id]; !identified {
-			s.store.Revoke(id)
-		}
-	}
-	s.Framed.Revoke(ids)
-}
-
-// checkpoint is PRALOHA's state beyond the framed core.
-type checkpoint struct {
-	frame uint64
-	store *record.Store
-}
-
 // Snapshot implements protocol.Session.
 func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	store, err := s.store.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return s.SnapshotWith(checkpoint{s.frame, store}), nil
+	return s.SnapshotWith(s.frame)
 }
 
 // Restore implements protocol.Session.
 func (s *session) Restore(c protocol.Checkpoint) error {
 	return s.RestoreWith(c, func(x any) error {
-		cp := x.(checkpoint)
-		store, err := cp.store.Clone()
-		if err != nil {
-			return err
-		}
-		s.frame, s.store = cp.frame, store
+		s.frame = x.(uint64)
 		return nil
 	})
 }

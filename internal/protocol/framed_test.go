@@ -57,6 +57,15 @@ func (x *framedFixture) frame(cursor int, buckets ...[]int) {
 	x.f.SlotJ = cursor
 }
 
+// snapshot checkpoints the fixture with the given extra state.
+func (x *framedFixture) snapshot(extra any) Checkpoint {
+	cp, err := x.f.SnapshotWith(extra)
+	if err != nil {
+		panic(err)
+	}
+	return cp
+}
+
 func TestFramedAdmitRevokeContract(t *testing.T) {
 	cases := []struct {
 		name string
@@ -186,7 +195,7 @@ func TestFramedAdmitRevokeContract(t *testing.T) {
 func TestFramedRestoreRebuildsIndex(t *testing.T) {
 	x := newFramedFixture(4)
 	x.f.Admit(x.tags(4))
-	cp := x.f.SnapshotWith("extra")
+	cp := x.snapshot("extra")
 	x.f.Admit(x.tags(5))
 	x.f.Revoke(x.tags(0, 4))
 
@@ -217,11 +226,11 @@ func TestFramedRestoreNeverHalfApplies(t *testing.T) {
 	x := newFramedFixture(4)
 	other := newFramedFixture(2)
 	other.f.name = "OTHER"
-	cp := x.f.SnapshotWith(nil)
+	cp := x.snapshot(nil)
 	x.f.Revoke(x.tags(1))
 	before := x.f.Unread()
 
-	if err := x.f.RestoreWith(other.f.SnapshotWith(nil), func(any) error { return nil }); !errors.Is(err, ErrCheckpointMismatch) {
+	if err := x.f.RestoreWith(other.snapshot(nil), func(any) error { return nil }); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("foreign checkpoint: got %v, want ErrCheckpointMismatch", err)
 	}
 	boom := errors.New("boom")

@@ -55,9 +55,6 @@ type Env struct {
 	// reader collects, with viaResolution true when the ID was recovered
 	// from a collision record rather than read from a singleton slot.
 	OnIdentified func(id tagid.ID, viaResolution bool)
-	// OnSlot, when non-nil, receives one SlotEvent per completed report
-	// segment — the hook behind progress traces and visualisations.
-	OnSlot func(SlotEvent)
 	// Tracer, when non-nil, receives the run's full typed event stream
 	// (slot outcomes, frame boundaries, advertisements, acknowledgements,
 	// collision-record activity, estimator updates; see internal/obs).
@@ -167,40 +164,6 @@ func (e *Env) AckDelivered() bool {
 		return false
 	}
 	return delivered
-}
-
-// SlotEvent describes one completed report segment, for observers that
-// trace or visualise a run's progress.
-type SlotEvent struct {
-	// Seq is the 0-based sequence number of the report segment within the
-	// run (all protocols count uniformly, frames included).
-	Seq int
-	// Kind is the observed outcome.
-	Kind channel.Kind
-	// Transmitters is the number of tags that reported (simulation ground
-	// truth; a real reader knows it only for 0 and 1).
-	Transmitters int
-	// Identified is the cumulative number of unique IDs collected after
-	// this slot's acknowledgement segment.
-	Identified int
-}
-
-// NotifySlot invokes the OnSlot callback if one is set and forwards the
-// slot outcome to the tracer.
-func (e *Env) NotifySlot(ev SlotEvent) {
-	if e.OnSlot != nil {
-		e.OnSlot(ev)
-	}
-	if e.Tracer != nil {
-		e.Tracer.Emit(obs.Event{
-			Kind: obs.SlotDone,
-			Seq:  ev.Seq,
-			Sub:  uint8(ev.Kind),
-			N1:   ev.Transmitters,
-			N2:   ev.Identified,
-			At:   e.Now(),
-		})
-	}
 }
 
 // NotifyIdentified invokes the OnIdentified callback if one is set and

@@ -5,22 +5,14 @@ import (
 
 	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/record"
-	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
-// newAllocRun builds a session in the state Begin would, against the given env.
+// newAllocRun opens a session against the given env, believing the
+// population to be n.
 func newAllocRun(p *Protocol, e *protocol.Env, n int) *session {
-	return &session{
-		p:      p,
-		env:    e,
-		m:      protocol.Metrics{Tags: len(e.Tags)},
-		active: protocol.NewActiveSet(e.Tags),
-		store:  record.NewStore(),
-		buf:    make([]tagid.ID, 0, 64),
-		seen:   make(map[tagid.ID]struct{}, len(e.Tags)),
-		n:      n,
-	}
+	r := p.Begin(e).(*session)
+	r.n = n
+	return r
 }
 
 // TestEmptySlotZeroAlloc drives the steady-state empty-slot loop (a reader
@@ -69,8 +61,8 @@ func TestSingletonSlotZeroAlloc(t *testing.T) {
 				t.Fatal("singleton steady state terminated")
 			}
 		}
-		if r.m.SingletonSlots == 0 || r.m.Identified() != 1 {
-			t.Fatalf("unexpected warmup state: %+v", r.m)
+		if r.M.SingletonSlots == 0 || r.M.Identified() != 1 {
+			t.Fatalf("unexpected warmup state: %+v", r.M)
 		}
 		allocs := testing.AllocsPerRun(300, func() {
 			if r.doSlot(slot) {

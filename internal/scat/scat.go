@@ -14,18 +14,13 @@ package scat
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"time"
 
-	"github.com/ancrfid/ancrfid/internal/air"
 	"github.com/ancrfid/ancrfid/internal/analysis"
 	"github.com/ancrfid/ancrfid/internal/channel"
 	obsev "github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/prestep"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/record"
-	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
@@ -96,78 +91,36 @@ func (p *Protocol) Run(env *protocol.Env) (protocol.Metrics, error) {
 	return protocol.RunSession(p, env)
 }
 
-// session carries one identification round's state; doSlot advances it by
-// one slot. The struct form (rather than loop-local closures) lets the
-// steady state be driven slot-by-slot, which the allocation-regression
-// tests use and protocol.Session requires.
+// session carries one identification round's state on top of the session
+// core, whose Store holds the collision records; doSlot advances it by one
+// slot. The struct form (rather than loop-local closures) lets the steady
+// state be driven slot-by-slot, which the allocation-regression tests use
+// and protocol.Session requires.
 type session struct {
+	protocol.Core
 	p      *Protocol
-	env    *protocol.Env
-	m      protocol.Metrics
-	clock  air.Clock
 	active *protocol.ActiveSet
-	store  *record.Store
 	buf    []tagid.ID
-	seen   map[tagid.ID]struct{}
+	policy
+}
 
+// policy is SCAT's own control state: a plain value, so checkpoints copy
+// it whole.
+type policy struct {
 	// n is the reader's current belief of the population size.
 	n                     int
 	consecutiveEmpty      int
 	consecutiveCollisions int
-
-	slot    uint64
-	budget  int
-	needPre bool
-	err     error
+	needPre               bool
 }
 
 var _ protocol.Session = (*session)(nil)
 
-// sessionScratch is the reusable core of a session (see protocol.Scratch):
-// the active set, the record store and the seen map are session-sized, so a
-// campaign worker reinitialises them in place between runs instead of
-// reallocating. The per-slot transmitter buffer stays per-session — its
-// slice header would go stale in the scratch as the session grows it.
-type sessionScratch struct {
-	active *protocol.ActiveSet
-	store  *record.Store
-	seen   map[tagid.ID]struct{}
-}
-
-// scratchKey namespaces this protocol's state in the shared container.
-const scratchKey = "scat"
-
 // Begin implements protocol.SessionProtocol.
 func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
-	s := &session{
-		p:       p,
-		env:     env,
-		m:       protocol.Metrics{Tags: len(env.Tags)},
-		buf:     make([]tagid.ID, 0, 64),
-		budget:  env.SlotBudget(),
-		needPre: p.cfg.PreEstimate,
-	}
-	if sc, _ := env.Scratch.Get(scratchKey).(*sessionScratch); sc != nil {
-		sc.active.ResetTags(env.Tags)
-		sc.store.Reset()
-		clear(sc.seen)
-		s.active, s.store, s.seen = sc.active, sc.store, sc.seen
-	} else {
-		s.active = protocol.NewActiveSet(env.Tags)
-		s.store = record.NewStore()
-		s.seen = make(map[tagid.ID]struct{}, len(env.Tags))
-		env.Scratch.Put(scratchKey, &sessionScratch{active: s.active, store: s.store, seen: s.seen})
-	}
-	s.store.Tracer = env.Tracer
-	s.store.Quarantine = env.Hardened()
-	if env.Stream {
-		s.active.SetStream(true)
-		if rel, ok := env.Channel.(channel.Releaser); ok {
-			s.store.SetReleaser(rel)
-		}
-	}
-	env.Clock = &s.clock
-	env.TraceRunStart(p.Name())
+	s := &session{p: p, buf: make([]tagid.ID, 0, 64)}
+	s.active = s.OpenPolled(p.Name(), env, "scat")
+	s.needPre = p.cfg.PreEstimate
 	s.n = p.cfg.KnownN
 	if s.n <= 0 {
 		s.n = len(env.Tags)
@@ -175,40 +128,33 @@ func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
 	return s
 }
 
-// Protocol implements protocol.Session.
-func (r *session) Protocol() string { return r.p.Name() }
-
 // Step implements protocol.Session. The first step runs the pre-estimation
 // phase when configured; every other step is one advertisement + report
 // slot. Stepping a done session keeps probing the field at p = 1, so newly
 // admitted tags are picked back up.
 func (r *session) Step() (bool, error) {
-	if r.err != nil {
-		return false, r.err
+	if r.Err != nil {
+		return false, r.Err
 	}
 	if r.needPre {
 		r.needPre = false
-		pre, err := prestep.Estimate(r.env, r.p.cfg.PreEstimateConfig)
+		pre, err := prestep.Estimate(r.Env, r.p.cfg.PreEstimateConfig)
+		r.Charge(pre.OnAir)
 		if err != nil {
-			r.clock.Add(pre.OnAir)
-			r.err = fmt.Errorf("pre-estimation: %w", err)
-			return false, r.err
+			return r.Fail(fmt.Errorf("pre-estimation: %w", err))
 		}
 		r.n = int(math.Round(pre.Estimate))
-		r.m.EmptySlots += pre.EmptySlots
-		r.m.SingletonSlots += pre.SingletonSlots
-		r.m.CollisionSlots += pre.CollisionSlots
-		r.clock.Add(pre.OnAir)
-		r.env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n)})
+		r.M.EmptySlots += pre.EmptySlots
+		r.M.SingletonSlots += pre.SingletonSlots
+		r.M.CollisionSlots += pre.CollisionSlots
+		r.Env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n)})
 		return false, nil
 	}
-	if int(r.slot) >= r.budget {
-		r.err = protocol.ErrNoProgress
-		return false, r.err
+	slot, err := r.NextSlot()
+	if err != nil {
+		return false, err
 	}
-	done := r.doSlot(r.slot)
-	r.slot++
-	return done, nil
+	return r.doSlot(uint64(slot)), nil
 }
 
 // Admit implements protocol.Session. SCAT assumes a known population, so an
@@ -217,13 +163,13 @@ func (r *session) Step() (bool, error) {
 // re-locate the count.
 func (r *session) Admit(ids []tagid.ID) {
 	for _, id := range ids {
-		if _, identified := r.seen[id]; identified {
+		if _, identified := r.Seen[id]; identified {
 			continue
 		}
 		if r.active.Add(id) {
-			r.m.Tags++
+			r.M.Tags++
 			r.n++
-			r.store.Readmit(id)
+			r.Store.Readmit(id)
 		}
 	}
 }
@@ -235,139 +181,60 @@ func (r *session) Revoke(ids []tagid.ID) {
 		if !r.active.Remove(id) {
 			continue
 		}
-		if _, identified := r.seen[id]; !identified {
-			r.store.Revoke(id)
-			if r.n > r.m.Identified() {
+		if _, identified := r.Seen[id]; !identified {
+			r.Store.Revoke(id)
+			if r.n > r.M.Identified() {
 				r.n--
 			}
 		}
 	}
 }
 
-// Metrics implements protocol.Session.
-func (r *session) Metrics() protocol.Metrics {
-	m := r.m
-	m.OnAir = r.clock.Elapsed()
-	return m
-}
-
-// Elapsed implements protocol.Session.
-func (r *session) Elapsed() time.Duration { return r.clock.Elapsed() }
-
 // Outstanding implements protocol.Session.
 func (r *session) Outstanding() int { return r.active.Len() }
 
-// checkpoint is a deep copy of a SCAT session's state.
+// checkpoint is SCAT's state beyond the core.
 type checkpoint struct {
-	name   string
-	m      protocol.Metrics
-	clock  air.Clock
+	policy
 	active *protocol.ActiveSet
-	store  *record.Store
-	seen   map[tagid.ID]struct{}
-
-	n                     int
-	consecutiveEmpty      int
-	consecutiveCollisions int
-
-	slot    uint64
-	budget  int
-	needPre bool
-	err     error
-
-	rng       rng.Source
-	chanState any
 }
-
-// Protocol implements protocol.Checkpoint.
-func (c *checkpoint) Protocol() string { return c.name }
 
 // Snapshot implements protocol.Session.
 func (r *session) Snapshot() (protocol.Checkpoint, error) {
-	store, err := r.store.Clone()
-	if err != nil {
-		return nil, err
-	}
-	cp := &checkpoint{
-		name:                  r.p.Name(),
-		m:                     r.m,
-		clock:                 r.clock,
-		active:                r.active.Clone(),
-		store:                 store,
-		seen:                  maps.Clone(r.seen),
-		n:                     r.n,
-		consecutiveEmpty:      r.consecutiveEmpty,
-		consecutiveCollisions: r.consecutiveCollisions,
-		slot:                  r.slot,
-		budget:                r.budget,
-		needPre:               r.needPre,
-		err:                   r.err,
-		rng:                   *r.env.RNG,
-	}
-	if st, ok := r.env.Channel.(channel.Stateful); ok {
-		cp.chanState = st.SnapshotState()
-	}
-	return cp, nil
+	return r.SnapshotWith(checkpoint{r.policy, r.active.Clone()})
 }
 
 // Restore implements protocol.Session.
 func (r *session) Restore(c protocol.Checkpoint) error {
-	cp, ok := c.(*checkpoint)
-	if !ok || cp.name != r.p.Name() {
-		return protocol.ErrCheckpointMismatch
-	}
-	store, err := cp.store.Clone()
-	if err != nil {
-		return err
-	}
-	r.m = cp.m
-	r.clock = cp.clock
-	r.active = cp.active.Clone()
-	r.store = store
-	r.seen = maps.Clone(cp.seen)
-	r.n = cp.n
-	r.consecutiveEmpty = cp.consecutiveEmpty
-	r.consecutiveCollisions = cp.consecutiveCollisions
-	r.slot = cp.slot
-	r.budget = cp.budget
-	r.needPre = cp.needPre
-	r.err = cp.err
-	*r.env.RNG = cp.rng
-	if cp.chanState != nil {
-		r.env.Channel.(channel.Stateful).RestoreState(cp.chanState)
-	}
-	return nil
+	return r.RestoreWith(c, func(x any) error {
+		cp := x.(checkpoint)
+		r.policy, r.active = cp.policy, cp.active.Clone()
+		return nil
+	})
 }
 
-// countDirect and countResolved record a first-time identification;
-// duplicates (retransmissions after a lost acknowledgement) are discarded,
-// as Section IV-E prescribes.
-func (r *session) countDirect(id tagid.ID) {
-	if _, dup := r.seen[id]; dup {
-		return
-	}
-	r.seen[id] = struct{}{}
-	r.m.DirectIDs++
-	r.env.NotifyIdentified(id, false)
-}
+// Delivered implements protocol.Reader: an acknowledged tag stops
+// participating.
+func (r *session) Delivered(id tagid.ID) { r.active.Remove(id) }
 
-func (r *session) countResolved(res record.Resolved) {
-	if _, dup := r.seen[res.ID]; dup {
-		return
+// Resolved implements protocol.Reader: SCAT broadcasts each recovered ID in
+// full (96 bits, Section IV-A) so the tag stops participating. The payload
+// is charged on a first-time resolution only; the acknowledgement itself
+// goes out every time.
+func (r *session) Resolved(seq int, id tagid.ID) {
+	if r.Count(id, true) {
+		r.Charge(r.Env.Timing.ResolvedIDAck())
 	}
-	r.seen[res.ID] = struct{}{}
-	r.m.ResolvedIDs++
-	r.env.NotifyIdentified(res.ID, true)
-	// SCAT broadcasts each recovered ID in full so the tag stops
-	// participating (Section IV-A).
-	r.clock.Add(r.env.Timing.ResolvedIDAck())
+	if r.Ack(seq, id, obsev.AckResolvedID) {
+		r.active.Remove(id)
+	}
 }
 
 // doSlot runs one advertisement + slot and reports whether the round
 // terminated (the final probe proved the population exhausted).
 func (r *session) doSlot(slot uint64) (done bool) {
-	p, env := r.p, r.env
-	remaining := r.n - r.m.Identified()
+	p, env := r.p, r.Env
+	remaining := r.n - r.M.Identified()
 	// Termination: after enough consecutive empty slots (or once the
 	// reader believes no tag is left) probe with p = 1; a further empty
 	// slot proves the population is exhausted.
@@ -380,126 +247,51 @@ func (r *session) doSlot(slot uint64) (done bool) {
 		}
 	}
 
-	r.clock.Add(env.Timing.SlotAdvertisement() + env.Timing.Slot())
+	r.Charge(env.Timing.SlotAdvertisement() + env.Timing.Slot())
 	env.EmitNow(obsev.Event{Kind: obsev.Advertisement, Seq: int(slot), F1: reportProb})
 	r.buf = r.active.Transmitters(env.RNG, env.TxModel, slot, reportProb, r.buf)
-	obs := env.Channel.Observe(r.buf)
+	o := env.Channel.Observe(r.buf)
+	r.Decode(int(slot), r.buf, o, r)
 
-	switch obs.Kind {
+	switch o.Kind {
 	case channel.Empty:
-		r.m.EmptySlots++
 		if probe {
-			r.m.OnAir = r.clock.Elapsed()
-			// The terminating probe is a counted slot like any other;
-			// report it so observers see exactly TotalSlots() events.
-			env.NotifySlot(protocol.SlotEvent{
-				Seq:        r.m.TotalSlots() - 1,
-				Kind:       obs.Kind,
-				Identified: r.m.Identified(),
-			})
+			// The terminating probe is a counted slot like any other, so
+			// observers see exactly TotalSlots() SlotDone events.
+			r.CloseSlot(o.Kind, 0)
 			return true
 		}
 		r.consecutiveEmpty++
 		r.consecutiveCollisions = 0
 	case channel.Singleton:
-		r.m.SingletonSlots++
 		r.consecutiveEmpty = 0
 		r.consecutiveCollisions = 0
-		r.countDirect(obs.ID)
-		delivered := env.AckDelivered()
-		env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: obs.ID,
-			Sub: uint8(obsev.AckDirect), Flag: delivered})
-		if delivered {
-			r.active.Remove(obs.ID)
-		}
-		for _, res := range r.store.OnIdentified(obs.ID) {
-			r.countResolved(res)
-			delivered := env.AckDelivered()
-			env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: res.ID,
-				Sub: uint8(obsev.AckResolvedID), Flag: delivered})
-			if delivered {
-				r.active.Remove(res.ID)
-			}
-		}
-	case channel.Collision:
-		r.m.CollisionSlots++
+	case channel.Collision, channel.Captured:
+		// A captured slot is a collision on the air whose strongest member
+		// decoded anyway.
 		r.consecutiveEmpty = 0
 		r.consecutiveCollisions++
-		// Storing the record can resolve it immediately when all but
-		// one member are known retransmitters.
-		for _, res := range r.store.Add(slot, obs.Mix, r.buf) {
-			r.countResolved(res)
-			delivered := env.AckDelivered()
-			env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: res.ID,
-				Sub: uint8(obsev.AckResolvedID), Flag: delivered})
-			if delivered {
-				r.active.Remove(res.ID)
-			}
-		}
 		if probe && remaining <= 0 {
 			// The pre-estimate undershot: a p=1 probe collided, so tags
 			// remain. Raise the reader's belief past the identified
 			// count to resume normal operation.
-			r.n = r.m.Identified() + 2
-			env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n), N2: r.m.Identified()})
+			r.n = r.M.Identified() + 2
+			env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n), N2: r.M.Identified()})
 		}
-		if r.consecutiveCollisions >= 25 {
+		if o.Kind == channel.Collision && r.consecutiveCollisions >= 25 {
 			// At the design load a collision happens with probability
 			// ~0.41, so 25 in a row (~2e-10) only occur when the
 			// pre-estimate undershoots badly and p is far too high.
 			// Double the believed deficit to recover.
-			deficit := r.n - r.m.Identified()
+			deficit := r.n - r.M.Identified()
 			if deficit < 1 {
 				deficit = 1
 			}
-			r.n = r.m.Identified() + 2*deficit
+			r.n = r.M.Identified() + 2*deficit
 			r.consecutiveCollisions = 0
-			env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n), N2: r.m.Identified()})
-		}
-	case channel.Captured:
-		// Capture effect: a collision on the air whose strongest member
-		// decoded anyway. Acknowledge the captured ID like a direct read,
-		// then store the residual recording; Add subtracts the captured tag
-		// and can resolve the rest immediately.
-		r.m.CollisionSlots++
-		r.consecutiveEmpty = 0
-		r.consecutiveCollisions++
-		r.countDirect(obs.ID)
-		delivered := env.AckDelivered()
-		env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: obs.ID,
-			Sub: uint8(obsev.AckDirect), Flag: delivered})
-		if delivered {
-			r.active.Remove(obs.ID)
-		}
-		for _, res := range r.store.OnIdentified(obs.ID) {
-			r.countResolved(res)
-			delivered := env.AckDelivered()
-			env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: res.ID,
-				Sub: uint8(obsev.AckResolvedID), Flag: delivered})
-			if delivered {
-				r.active.Remove(res.ID)
-			}
-		}
-		for _, res := range r.store.Add(slot, obs.Mix, r.buf) {
-			r.countResolved(res)
-			delivered := env.AckDelivered()
-			env.EmitNow(obsev.Event{Kind: obsev.AckSent, Seq: int(slot), ID: res.ID,
-				Sub: uint8(obsev.AckResolvedID), Flag: delivered})
-			if delivered {
-				r.active.Remove(res.ID)
-			}
-		}
-		if probe && remaining <= 0 {
-			r.n = r.m.Identified() + 2
-			env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n), N2: r.m.Identified()})
+			env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n), N2: r.M.Identified()})
 		}
 	}
-	r.m.TagTransmissions += len(r.buf)
-	env.NotifySlot(protocol.SlotEvent{
-		Seq:          r.m.TotalSlots() - 1,
-		Kind:         obs.Kind,
-		Transmitters: len(r.buf),
-		Identified:   r.m.Identified(),
-	})
+	r.CloseSlot(o.Kind, len(r.buf))
 	return false
 }
