@@ -209,9 +209,9 @@ func PlanFrames(n int, cfg Config, p, relErr float64) int {
 // probeFrame simulates one probe frame: every tag picks a slot of the
 // frame with probability p; the reader only needs each slot's
 // empty/occupied/collided state. seq is the sequence number of the frame's
-// first slot, used only to label trace events. Probe slots feed the tracer
-// directly (not Env.NotifySlot) so pre-existing OnSlot observers keep
-// seeing identification slots only.
+// first slot: each probe slot emits its own SlotDone, so a slot observer
+// sees the probe slots numbered ahead of the identification slots that
+// follow.
 func probeFrame(env *protocol.Env, f int, p float64, seq int) (n0, nc int) {
 	occupants := make([][]tagid.ID, f)
 	for _, id := range env.Tags {

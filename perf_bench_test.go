@@ -142,13 +142,14 @@ func BenchmarkExposition(b *testing.B) {
 	}
 }
 
-// BenchmarkAdmitLarge admits a batch of fresh tags into a framed-protocol
-// session over an empty field, then revokes the whole batch in one call —
-// the path a session-server client drives with a large admit. The backlog
-// keeps a membership index, so both calls are linear in the batch: the
-// n=100000 case should cost about 10x the n=10000 one, not 100x.
+// BenchmarkAdmitLarge admits a batch of fresh tags into a session over an
+// empty field, then revokes the whole batch in one call — the path a
+// session-server client drives with a large admit. Every session keeps a
+// membership index beside its tag list, so both calls are linear in the
+// batch: the n=100000 case should cost about 10x the n=10000 one, not
+// 100x.
 func BenchmarkAdmitLarge(b *testing.B) {
-	for _, name := range []string{"DFSA", "EDFSA", "CRDSA", "MDFSA-2", "PRALOHA-2"} {
+	for _, name := range []string{"DFSA", "EDFSA", "CRDSA", "MDFSA-2", "PRALOHA-2", "ABS", "AQS", "FCAT-2", "SCAT-2"} {
 		p, err := ancrfid.ByName(name)
 		if err != nil {
 			b.Fatal(err)
