@@ -76,26 +76,32 @@ func DefaultSignalConfig() SignalConfig {
 // over the same planes. The kernels are bit-identical to the scalar
 // complex128 path, so the channel's observable behaviour is unchanged.
 //
+// Each tag's reference waveform is cached as a compact signal.Ref (one
+// uint16 phase-state index per sample, 770 B at four samples per bit)
+// rather than as a 6 KB plane. Synthesis reads it in place; the decoder
+// expands its known constituents into a few scratch planes owned by the
+// channel and runs the plane kernels on those.
+//
 // The channel owns the scratch buffers of its hot paths: the received
 // plane is handed off to the collision record when a slot must be kept
-// (lazily replaced, or recycled through ReleaseMixed in streaming mode),
-// and the decoder's reference list, least-squares system and residual
-// plane are reused across cancellation attempts. A Signal is
-// single-goroutine, like the rng.Source it wraps.
+// and comes back through ReleaseMixed once the record resolves, and the
+// decoder's reference planes, least-squares system and residual plane are
+// reused across cancellation attempts. A Signal is single-goroutine, like
+// the rng.Source it wraps.
 type Signal struct {
 	cfg     SignalConfig
 	rng     *rng.Source
 	gains   map[tagid.ID]complex128
 	offsets map[tagid.ID]float64
-	refs    map[tagid.ID]*signal.Plane
+	refs    map[tagid.ID]*signal.Ref
 	rots    map[tagid.ID]*signal.Plane // cached e^(i*dw*n) ramps, offset mode only
 
-	rxBuf    *signal.Plane // slot accumulator; nil after a collision keeps it
-	freeRx   []*signal.Plane
-	refsBuf  []*signal.Plane
-	gainsBuf []complex128
-	ls       signal.GainScratch
-	resBuf   signal.Plane // decoder residual
+	rxBuf     *signal.Plane // slot accumulator; nil after a collision keeps it
+	freeRx    []*signal.Plane
+	refPlanes []*signal.Plane // expanded references of the decoder and the offset synthesis
+	gainsBuf  []complex128
+	ls        signal.GainScratch
+	resBuf    signal.Plane // decoder residual
 }
 
 var (
@@ -127,18 +133,18 @@ func NewSignal(cfg SignalConfig, r *rng.Source) *Signal {
 		rng:     r,
 		gains:   make(map[tagid.ID]complex128),
 		offsets: make(map[tagid.ID]float64),
-		refs:    make(map[tagid.ID]*signal.Plane),
+		refs:    make(map[tagid.ID]*signal.Ref),
 		rots:    make(map[tagid.ID]*signal.Plane),
 	}
 }
 
 // Reset rewinds the channel for a fresh repetition over a new RNG. The
 // per-run draws (gains, offsets, offset-dependent rotation ramps) are
-// discarded, and so is the reference-waveform cache: a repetition draws a
-// fresh population, so carrying references over would grow the cache by
-// one waveform per distinct ID without bound, while regenerating one is a
-// cheap table walk (see signal.ModulateInto). The recycled rx planes carry
-// over.
+// discarded, and so is the reference cache: a repetition draws a fresh
+// population, so carrying references over would grow the cache by one
+// reference per distinct ID without bound, while regenerating one is a
+// cheap table walk (see signal.ModulateIDRef). The recycled rx planes
+// carry over.
 func (c *Signal) Reset(r *rng.Source) {
 	c.rng = r
 	clear(c.gains)
@@ -183,16 +189,28 @@ func (c *Signal) offset(id tagid.ID) float64 {
 	return dw
 }
 
-// reference returns the cached canonical (unit-gain) waveform plane of an
-// ID.
-func (c *Signal) reference(id tagid.ID) *signal.Plane {
-	if p, ok := c.refs[id]; ok {
-		return p
+// reference returns the cached canonical (unit-gain) waveform of an ID in
+// its compact phase-state form.
+func (c *Signal) reference(id tagid.ID) *signal.Ref {
+	if r, ok := c.refs[id]; ok {
+		return r
 	}
-	p := &signal.Plane{}
-	signal.ModulateIDInto(p, id, c.cfg.SamplesPerBit)
-	c.refs[id] = p
-	return p
+	r := signal.ModulateIDRef(id, c.cfg.SamplesPerBit)
+	c.refs[id] = r
+	return r
+}
+
+// expandRefs expands the references of ids into the channel's scratch
+// planes, which stay valid until the next call.
+func (c *Signal) expandRefs(ids []tagid.ID) []*signal.Plane {
+	for len(c.refPlanes) < len(ids) {
+		c.refPlanes = append(c.refPlanes, &signal.Plane{})
+	}
+	planes := c.refPlanes[:len(ids)]
+	for i, id := range ids {
+		c.reference(id).Expand(planes[i])
+	}
+	return planes
 }
 
 // rotation returns the cached frequency-offset phase ramp of an ID. The
@@ -232,17 +250,17 @@ func (c *Signal) Observe(transmitters []tagid.ID) Observation {
 	}
 	rx := c.rxBuf
 	rx.Reset(n)
-	for _, id := range transmitters {
+	for i, id := range transmitters {
 		g := c.gain(id)
 		if c.cfg.PhaseJitter > 0 {
 			j := (2*c.rng.Float64() - 1) * c.cfg.PhaseJitter
 			g *= signal.Cis(j)
 		}
-		ref := c.reference(id)
 		if dw := c.offset(id); dw != 0 {
+			ref := c.expandRefs(transmitters[i : i+1])[0]
 			rx.AccumulateScaledRotated(ref, c.rotation(id, dw, n), g)
 		} else {
-			rx.AccumulateScaled(ref, g)
+			rx.AccumulateScaledRef(c.reference(id), g)
 		}
 	}
 	signal.AddNoisePlane(rx, c.cfg.NoiseSigma, c.rng)
@@ -279,8 +297,8 @@ func (c *Signal) Observe(transmitters []tagid.ID) Observation {
 	return Observation{Kind: Collision, Mix: m}
 }
 
-// ReleaseMixed implements Releaser: a fully-resolved collision record hands
-// its plane back for reuse. Recycling only touches buffers whose contents
+// ReleaseMixed implements Releaser: a resolved collision record hands its
+// plane back for reuse. Recycling only touches buffers whose contents
 // are dead, so it cannot change any observable bit.
 func (c *Signal) ReleaseMixed(m Mixed) {
 	sm, ok := m.(*signalMixed)
@@ -292,8 +310,8 @@ func (c *Signal) ReleaseMixed(m Mixed) {
 }
 
 // signalState is the persistent channel state captured by SnapshotState: the
-// per-tag gains and oscillator offsets drawn so far. The reference-waveform
-// cache is pure (no RNG involvement) and is deliberately not captured.
+// per-tag gains and oscillator offsets drawn so far. The reference cache is
+// pure (no RNG involvement) and is deliberately not captured.
 type signalState struct {
 	gains   map[tagid.ID]complex128
 	offsets map[tagid.ID]float64
@@ -384,21 +402,17 @@ func (m *signalMixed) Decode() (tagid.ID, bool) {
 		// time with the joint gain-and-offset estimator, cancelling in place
 		// in the channel's residual plane after the first peel.
 		residual = m.wave
-		for _, known := range m.known {
-			ref := c.reference(known)
+		for _, ref := range c.expandRefs(m.known) {
 			gain, dw := signal.EstimateGainAndOffsetPlane(residual, ref, c.cfg.SamplesPerBit)
 			residual = signal.CancelWithOffsetIntoPlane(&c.resBuf, residual, ref, gain, dw)
 		}
 	} else {
-		c.refsBuf = c.refsBuf[:0]
-		for _, id := range m.known {
-			c.refsBuf = append(c.refsBuf, c.reference(id))
-		}
-		c.gainsBuf = c.ls.EstimateGainsPlane(c.gainsBuf[:0], m.wave, c.refsBuf)
+		refs := c.expandRefs(m.known)
+		c.gainsBuf = c.ls.EstimateGainsPlane(c.gainsBuf[:0], m.wave, refs)
 		if c.gainsBuf == nil {
 			return tagid.ID{}, false
 		}
-		residual = signal.CancelIntoPlane(&c.resBuf, m.wave, c.refsBuf, c.gainsBuf)
+		residual = signal.CancelIntoPlane(&c.resBuf, m.wave, refs, c.gainsBuf)
 	}
 	id, ok := signal.DecodeIDPlane(residual, c.cfg.SamplesPerBit)
 	if !ok {

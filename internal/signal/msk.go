@@ -1,10 +1,13 @@
 package signal
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
 // Cis returns e^(i*theta) = cos(theta) + i*sin(theta) from one Sincos call.
@@ -172,4 +175,64 @@ func (r *mskRegistry) modulateInto(p *Plane, data []byte, nbits, spb int) {
 			n++
 		}
 	}
+}
+
+// Ref is the compact form of a modulated message: per sample, the index of
+// its phase state in the MSK table of its samples-per-bit value. The table
+// already holds every state's (cos, sin) pair, so a Ref stores two bytes
+// per sample where a Plane stores sixteen (770 B instead of 6 160 B for a
+// 96-bit ID at four samples per bit), and reading sample k through it
+// yields exactly the float64 pair ModulateInto writes. Tags are static
+// during a read, so a reader that cancels known tags can keep one Ref per
+// ID instead of a full waveform.
+type Ref struct {
+	t  *mskTable
+	st []uint16
+}
+
+// Len returns the number of samples.
+func (r *Ref) Len() int { return len(r.st) }
+
+// Expand writes the reference's samples into p: the same plane
+// ModulateInto produces for the message, bit for bit.
+func (r *Ref) Expand(p *Plane) {
+	p.resize(len(r.st))
+	tre, tim := r.t.re, r.t.im
+	re, im := p.Re, p.Im[:len(p.Re)]
+	for k, s := range r.st {
+		re[k], im[k] = tre[s], tim[s]
+	}
+}
+
+// ModulateIDRef returns the compact reference of a 96-bit tag ID's
+// waveform at spb samples per bit (see Ref). It panics if spb is not
+// positive, or if spb's phase table has more states than a uint16 can
+// index, which first happens between spb 64 and spb 128.
+func ModulateIDRef(id tagid.ID, spb int) *Ref {
+	return mskTables.modulateRef(id.Bytes(), tagid.Bits, spb)
+}
+
+// modulateRef is modulateInto recording state indices instead of samples.
+// The pilot is state 0, whose pair is exactly (1, 0).
+func (r *mskRegistry) modulateRef(data []byte, nbits, spb int) *Ref {
+	if spb <= 0 {
+		panic(fmt.Sprintf("signal: a Ref needs a positive samples-per-bit value, got spb %d", spb))
+	}
+	t := r.table(spb, nbits)
+	if n := len(t.re); n > math.MaxUint16+1 {
+		panic(fmt.Sprintf("signal: the MSK table at spb %d has %d phase states, more than a uint16 Ref can index", spb, n))
+	}
+	st := make([]uint16, 1+nbits*spb)
+	next := t.next
+	cur := int32(0)
+	n := 1
+	for i := 0; i < nbits; i++ {
+		bit := int32(data[i/8]>>(7-i%8)) & 1
+		for s := 0; s < spb; s++ {
+			cur = next[2*cur+bit]
+			st[n] = uint16(cur)
+			n++
+		}
+	}
+	return &Ref{t: t, st: st}
 }

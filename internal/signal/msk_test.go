@@ -3,6 +3,7 @@ package signal
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"sync"
 	"testing"
 
@@ -116,11 +117,47 @@ func TestModulateArbitraryLengthMatchesOracle(t *testing.T) {
 // samples-per-bit value (quoted in docs/performance.md).
 func TestMSKTableSizes(t *testing.T) {
 	var reg mskRegistry
-	for factor, want := range map[int]int{1: 265, 2: 681, 4: 1455, 8: 3037, 16: 7181} {
+	for factor, want := range map[int]int{1: 265, 2: 681, 4: 1455, 8: 3037, 16: 7181, 32: 14935} {
 		if got := len(reg.table(factor, tagid.Bits).re); got != want {
 			t.Errorf("spb=%d: %d states, want %d", factor, got, want)
 		}
 	}
+}
+
+// TestRefExpandMatchesModulate pins the compact reference to the plane
+// modulator bit for bit: expanding a Ref, and accumulating through it,
+// must give exactly the samples ModulateIDInto writes.
+func TestRefExpandMatchesModulate(t *testing.T) {
+	r := rng.New(72)
+	var want, got, acc Plane
+	for _, factor := range []int{1, 2, 4, 8, 16} {
+		for i := 0; i < 500; i++ {
+			id := tagid.Random(r)
+			ModulateIDInto(&want, id, factor)
+			ref := ModulateIDRef(id, factor)
+			if ref.Len() != want.Len() {
+				t.Fatalf("spb=%d: Ref has %d samples, plane %d", factor, ref.Len(), want.Len())
+			}
+			ref.Expand(&got)
+			requirePlaneBits(t, "expand", want.Waveform(nil), &got)
+			acc.Reset(want.Len())
+			acc.AccumulateScaledRef(ref, 1)
+			requirePlaneBits(t, "accumulate", want.Waveform(nil), &acc)
+		}
+	}
+}
+
+// TestModulateIDRefStateOverflow: a table with more states than a uint16
+// indexes (82 051 at spb 128) must stop ModulateIDRef loudly, naming the
+// spb, instead of wrapping indices into a wrong waveform.
+func TestModulateIDRefStateOverflow(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "spb 128") {
+			t.Fatalf("ModulateIDRef at spb 128: recovered %q, want a panic naming spb 128", msg)
+		}
+	}()
+	ModulateIDRef(tagid.New(1, 2), 128)
 }
 
 // TestMSKTableConcurrentBuild modulates from several goroutines against a

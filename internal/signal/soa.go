@@ -125,6 +125,24 @@ func (p *Plane) AccumulateScaled(ref *Plane, g complex128) {
 	}
 }
 
+// AccumulateScaledRef is AccumulateScaled reading the reference through
+// its phase-state indices: the same operations in the same order on the
+// same sample values, so p ends bit-identical to accumulating the
+// expanded plane.
+func (p *Plane) AccumulateScaledRef(ref *Ref, g complex128) {
+	gr, gi := real(g), imag(g)
+	n := p.Len()
+	pr, pi := p.Re[:n], p.Im[:n]
+	st := ref.st[:n]
+	tre, tim := ref.t.re, ref.t.im
+	for k := range pr {
+		s := st[k]
+		sr, si := tre[s], tim[s]
+		pr[k] += sr*gr - si*gi
+		pi[k] += sr*gi + si*gr
+	}
+}
+
 // AccumulateScaledRotated adds a rotated, gain-scaled ref into p:
 // p[k] += (ref[k] * rot[k]) * g, the association order of the scalar
 // synthesis loop `rx[i] += s * e^(i*dw*i) * g`.

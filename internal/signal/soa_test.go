@@ -317,13 +317,16 @@ func FuzzBatchedSignalEquivalence(f *testing.F) {
 		}
 		rx = AddNoise(rx, 0.03, r)
 
-		// Batched synthesis over planes, identical draw order.
+		// Batched synthesis over planes, identical draw order. Without
+		// offsets the same sum is also accumulated through compact Refs.
 		planes := make([]*Plane, m)
-		var prx, rot Plane
+		var prx, refRx, rot Plane
 		prx.Reset(1 + tagid.Bits*spb)
+		refRx.Reset(prx.Len())
 		for i := 0; i < m; i++ {
+			id := tagid.Random(rp)
 			planes[i] = &Plane{}
-			ModulateIDInto(planes[i], tagid.Random(rp), spb)
+			ModulateIDInto(planes[i], id, spb)
 			g := cmplx.Rect(0.3+0.7*rp.Float64(), 2*math.Pi*rp.Float64())
 			if offsets {
 				dw := (2*rp.Float64() - 1) * maxOffsetSearch(spb)
@@ -331,7 +334,11 @@ func FuzzBatchedSignalEquivalence(f *testing.F) {
 				prx.AccumulateScaledRotated(planes[i], &rot, g)
 			} else {
 				prx.AccumulateScaled(planes[i], g)
+				refRx.AccumulateScaledRef(ModulateIDRef(id, spb), g)
 			}
+		}
+		if !offsets {
+			requirePlaneBits(t, "ref synthesis", prx.Waveform(nil), &refRx)
 		}
 		AddNoisePlane(&prx, 0.03, rp)
 		requirePlaneBits(t, "synthesis", rx, &prx)
@@ -390,8 +397,12 @@ func TestPlaneKernelsZeroAlloc(t *testing.T) {
 	mixed := planeOf(AddNoise(Mix(parts...), 0.03, r))
 	var s GainScratch
 	var gains []complex128
-	var dst Plane
+	var dst, expanded Plane
+	ref := ModulateIDRef(tagid.New(3, 4), spb)
+	ref.Expand(&expanded)
 	allocs := testing.AllocsPerRun(100, func() {
+		ref.Expand(&expanded)
+		dst.AccumulateScaledRef(ref, 0.5)
 		gains = s.EstimateGainsPlane(gains[:0], mixed, planes)
 		if gains == nil {
 			t.Fatal("singular system")
