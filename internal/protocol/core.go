@@ -125,10 +125,10 @@ func (c *Core) openRecorded(name string, env *Env, key string, dropAbove int) *r
 	store.Tracer = env.Tracer
 	store.Quarantine = env.Hardened()
 	store.DropAbove = dropAbove
-	if env.Stream {
-		if rel, ok := env.Channel.(channel.Releaser); ok {
-			store.SetReleaser(rel)
-		}
+	// Resolved recordings always go back to a recycling channel; the
+	// store stops releasing for good once a checkpoint clone shares them.
+	if rel, ok := env.Channel.(channel.Releaser); ok {
+		store.SetReleaser(rel)
 	}
 	c.Store = store
 	c.open(name, env, sc.seen)
