@@ -109,6 +109,25 @@ func BenchmarkModulateIDInto(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeIDPlane measures the differential demodulator plus CRC
+// check on one received slot, cycling through 256 distinct noisy IDs so
+// the per-bit decisions are as unpredictable as on the air.
+func BenchmarkDecodeIDPlane(b *testing.B) {
+	r := rng.New(13)
+	planes := make([]Plane, 256)
+	for i := range planes {
+		ModulateIDInto(&planes[i], tagid.Random(r), DefaultSamplesPerBit)
+		AddNoisePlane(&planes[i], 0.03, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := DecodeIDPlane(&planes[i%len(planes)], DefaultSamplesPerBit); !ok {
+			b.Fatal("decode failed")
+		}
+	}
+}
+
 // BenchmarkAddNoisePlane measures the AWGN kernel on one received slot
 // (a 385-sample plane at DefaultSamplesPerBit), the noise the signal
 // channel adds to every observation: 770 standard-normal draws.

@@ -194,9 +194,13 @@ func DecodeIDPlane(p *Plane, spb int) (tagid.ID, bool) {
 			yr, yi := re[base+s-1], im[base+s-1]
 			ai += xi*yr - xr*yi
 		}
+		// A set-on-condition instead of a branch: on noisy samples the
+		// sign of ai is unpredictable.
+		var bit byte
 		if ai > 0 {
-			id[i/8] |= 1 << (7 - i%8)
+			bit = 1
 		}
+		id[i/8] |= bit << (7 - i%8)
 	}
 	return id, id.Valid()
 }
