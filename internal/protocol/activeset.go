@@ -101,12 +101,14 @@ func (s *ActiveSet) Add(id tagid.ID) bool {
 	return true
 }
 
-// Clone returns a deep copy of the set (scratch buffers excluded).
+// Clone returns a deep copy of the set, streaming mode included (scratch
+// buffers excluded).
 func (s *ActiveSet) Clone() *ActiveSet {
 	c := &ActiveSet{
 		ids:      make([]tagid.ID, len(s.ids)),
 		prefixes: make([]tagid.HashPrefix, len(s.prefixes)),
 		pos:      make(map[tagid.ID]int, len(s.pos)),
+		stream:   s.stream,
 	}
 	copy(c.ids, s.ids)
 	copy(c.prefixes, s.prefixes)

@@ -56,6 +56,26 @@ func TestActiveSetStreamCompaction(t *testing.T) {
 	}
 }
 
+// TestActiveSetCloneKeepsStream: a clone of a streaming set (a session
+// restored from a checkpoint) must keep compacting as its tags retire.
+func TestActiveSetCloneKeepsStream(t *testing.T) {
+	tags := tagid.Population(rng.New(12), 4096)
+	s := NewActiveSet(tags)
+	s.SetStream(true)
+	c := s.Clone()
+	for _, id := range tags[:4000] {
+		if !c.Remove(id) {
+			t.Fatalf("tag %v not active in the clone", id)
+		}
+	}
+	if got := cap(c.ids); got >= 1024 {
+		t.Errorf("clone of a streaming set kept cap %d after retiring to %d live tags", got, c.Len())
+	}
+	if s.Len() != len(tags) {
+		t.Errorf("removing from the clone changed the original: Len %d, want %d", s.Len(), len(tags))
+	}
+}
+
 // TestActiveSetResetTags: the in-place reinitialisation must be equivalent
 // to a fresh set, including after streaming compaction mangled the arrays.
 func TestActiveSetResetTags(t *testing.T) {
