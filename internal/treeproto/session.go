@@ -111,8 +111,7 @@ func (s *absSession) buildPending(extra int) {
 // fresh group, queued below the pending splits so the in-flight
 // resolution finishes first (new arrivals reset their counters past the
 // current tree in ABS). IDs already pending or already counted are
-// skipped; an ID repeated in the batch joins the group once per
-// occurrence.
+// skipped, and an ID repeated in the batch joins the group once.
 func (s *absSession) Admit(ids []tagid.ID) {
 	s.buildPending(len(ids))
 	var group []tagid.ID
@@ -123,11 +122,9 @@ func (s *absSession) Admit(ids []tagid.ID) {
 		if s.pending[id] > 0 {
 			continue
 		}
+		s.pending[id]++
 		group = append(group, id)
 		s.M.Tags++
-	}
-	for _, id := range group {
-		s.pending[id]++
 	}
 	if len(group) > 0 {
 		s.stack = append([][]tagid.ID{group}, s.stack...)
@@ -141,10 +138,10 @@ func (s *absSession) Admit(ids []tagid.ID) {
 func (s *absSession) Revoke(ids []tagid.ID) {
 	s.buildPending(0)
 	n := 0
-	// drop counts the revocations of tags pending more than once (an ID
-	// repeated in one Admit batch joins its group once per occurrence);
-	// the filter takes those from the front and keeps the rest, while a
-	// tag whose count fell to zero goes entirely.
+	// drop counts the revocations of tags pending more than once (a
+	// population that lists an ID twice keeps both copies); the filter
+	// takes those from the front and keeps the rest, while a tag whose
+	// count fell to zero goes entirely.
 	var drop map[tagid.ID]int
 	for _, id := range ids {
 		switch c := s.pending[id]; c {

@@ -315,3 +315,35 @@ func TestAQSEmptyLeafMerging(t *testing.T) {
 		t.Fatalf("after merging, an empty field should cost ~1 slot, used %d", second.TotalSlots())
 	}
 }
+
+// TestABSAdmitRepeatedID: an ID repeated inside one Admit batch joins the
+// traversal once, so it is counted once and cannot collide with itself.
+func TestABSAdmitRepeatedID(t *testing.T) {
+	e := env(40, 5, channel.AbstractConfig{Lambda: 2})
+	s := NewABS().Begin(e).(*absSession)
+	x := tagid.New(0xABCD, 42)
+	s.Admit([]tagid.ID{x, x})
+	if got := s.Metrics().Tags; got != 6 {
+		t.Fatalf("Tags = %d after admitting one new ID twice, want 6", got)
+	}
+	n := 0
+	for _, g := range s.stack {
+		for _, id := range g {
+			if id == x {
+				n++
+			}
+		}
+	}
+	if n != 1 {
+		t.Fatalf("the admitted ID is pending %d times, want once", n)
+	}
+	for done := false; !done; {
+		var err error
+		if done, err = s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := s.Metrics(); m.Identified() != 6 {
+		t.Fatalf("identified %d of 6 tags", m.Identified())
+	}
+}
