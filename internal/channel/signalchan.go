@@ -76,11 +76,11 @@ func DefaultSignalConfig() SignalConfig {
 // over the same planes. The kernels are bit-identical to the scalar
 // complex128 path, so the channel's observable behaviour is unchanged.
 //
-// Each tag's reference waveform is cached as a compact signal.Ref (one
-// uint16 phase-state index per sample, 770 B at four samples per bit)
-// rather than as a 6 KB plane. Synthesis reads it in place; the decoder
-// expands its known constituents into a few scratch planes owned by the
-// channel and runs the plane kernels on those.
+// Each tag's reference waveform is cached as a compact signal.Ref: one
+// uint16 phase-state index per sample, an eighth of a plane. Synthesis
+// reads it in place; the decoder expands its known constituents into a
+// few scratch planes owned by the channel and runs the plane kernels on
+// those.
 //
 // The channel owns the scratch buffers of its hot paths: the received
 // plane is handed off to the collision record when a slot must be kept
@@ -282,10 +282,16 @@ func (c *Signal) Observe(transmitters []tagid.ID) Observation {
 	// The record keeps the received plane, so the accumulator is handed
 	// off: the next Observe grabs one from the free list or allocates.
 	c.rxBuf = nil
+	// One allocation backs both ID lists: the members, then room for as
+	// many cancellations, so Subtract appends without allocating.
+	k := len(transmitters)
+	ids := make([]tagid.ID, 2*k)
+	copy(ids, transmitters)
 	m := &signalMixed{
 		chan_:   c,
 		wave:    rx,
-		members: append(make([]tagid.ID, 0, len(transmitters)), transmitters...),
+		members: ids[:k:k],
+		known:   ids[k:k],
 	}
 	if decoded && len(transmitters) > 1 && c.cfg.Capability.CaptureEnabled() && m.Contains(id) {
 		// The demodulator pulled a valid ID out of a non-flat envelope: the

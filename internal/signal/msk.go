@@ -190,9 +190,6 @@ type Ref struct {
 	st []uint16
 }
 
-// Len returns the number of samples.
-func (r *Ref) Len() int { return len(r.st) }
-
 // Expand writes the reference's samples into p: the same plane
 // ModulateInto produces for the message, bit for bit.
 func (r *Ref) Expand(p *Plane) {
@@ -205,9 +202,9 @@ func (r *Ref) Expand(p *Plane) {
 }
 
 // ModulateIDRef returns the compact reference of a 96-bit tag ID's
-// waveform at spb samples per bit (see Ref). It panics if spb is not
-// positive, or if spb's phase table has more states than a uint16 can
-// index, which first happens between spb 64 and spb 128.
+// waveform at spb samples per bit (see Ref). It panics if spb's phase
+// table has more states than a uint16 can index, which first happens
+// between spb 64 and spb 128.
 func ModulateIDRef(id tagid.ID, spb int) *Ref {
 	return mskTables.modulateRef(id.Bytes(), tagid.Bits, spb)
 }
@@ -215,9 +212,6 @@ func ModulateIDRef(id tagid.ID, spb int) *Ref {
 // modulateRef is modulateInto recording state indices instead of samples.
 // The pilot is state 0, whose pair is exactly (1, 0).
 func (r *mskRegistry) modulateRef(data []byte, nbits, spb int) *Ref {
-	if spb <= 0 {
-		panic(fmt.Sprintf("signal: a Ref needs a positive samples-per-bit value, got spb %d", spb))
-	}
 	t := r.table(spb, nbits)
 	if n := len(t.re); n > math.MaxUint16+1 {
 		panic(fmt.Sprintf("signal: the MSK table at spb %d has %d phase states, more than a uint16 Ref can index", spb, n))

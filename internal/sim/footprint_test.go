@@ -13,8 +13,8 @@ import (
 // allocates: a 2 000-tag FCAT-2 run on a fresh signal channel configured
 // as rfidsim -channel signal configures it (one worker, lambda 2). Each
 // tag's reference is a compact signal.Ref and resolved recordings are
-// recycled, so the run allocates a few MB; caching full reference planes
-// and keeping every recording took about 21.7 MB.
+// recycled, so what the run allocates is mostly the rx planes of its
+// unresolved recordings.
 func TestSignalRunFootprint(t *testing.T) {
 	const limit = 10 << 20
 	cfg := Config{Tags: 2000, Runs: 1, Seed: 1, Workers: 1, Lambda: 2,
