@@ -27,9 +27,9 @@
 // sequential run (see docs/parallelism.md).
 //
 // -stream enables the streaming campaign mode for very large populations:
-// identified tags retire out of the reader's working set and resolved
-// collision recordings are recycled, bounding steady-state memory while
-// producing bit-identical results (see docs/performance.md).
+// identified tags retire out of the reader's active set, bounding its
+// memory while producing bit-identical results (resolved collision
+// recordings are recycled in every campaign; see docs/performance.md).
 //
 // Profiling: -cpuprofile and -memprofile write pprof profiles of the
 // campaign for `go tool pprof` (see docs/performance.md). -memprofile also
@@ -83,7 +83,7 @@ func run(args []string) error {
 		timing    = fs.String("timing", "icode", "air interface: icode (53 kbit/s) or gen2 (128 kbit/s)")
 		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "Monte-Carlo worker goroutines (output is identical for any value)")
 		maxSlots  = fs.Int("max-slots", 0, "slot budget per run; a run that exhausts it fails with a no-progress error (0 = automatic)")
-		stream    = fs.Bool("stream", false, "streaming campaign mode: retire identified tags and recycle resolved collision records so mega-N populations run in bounded memory (results are bit-identical)")
+		stream    = fs.Bool("stream", false, "streaming campaign mode: compact identified tags out of the reader's active set so mega-N populations run in bounded memory (results are bit-identical; resolved collision records are recycled with or without it)")
 		tracePath = fs.String("trace", "", "write the campaign's JSONL event trace to this file (\"-\" = stdout)")
 		timeline  = fs.String("timeline", "", "write a human-readable slot timeline to this file (\"-\" = stdout)")
 		metrics   = fs.String("metrics", "", "write the aggregated metrics registry to this file (\"-\" = stdout)")

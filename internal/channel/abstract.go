@@ -60,9 +60,9 @@ type Abstract struct {
 	usedPools  [][]tagid.ID
 	sparePools [][]tagid.ID
 
-	// free holds records released through ReleaseMixed (streaming mode),
-	// recycled — headers, member storage, big-record index maps — by the
-	// next collision instead of growing the arena.
+	// free holds records released through ReleaseMixed, recycled —
+	// headers, member storage, big-record index maps — by the next
+	// collision instead of growing the arena.
 	free []*abstractMixed
 
 	// Capture-decision constants, precomputed so the per-slot test is pure
@@ -157,7 +157,7 @@ func (a *Abstract) newMixed(transmitters []tagid.ID, resolvable bool) *abstractM
 	n := len(transmitters)
 	var m *abstractMixed
 	if k := len(a.free); k > 0 {
-		// Streaming mode: recycle a released record. Its member storage,
+		// Recycle a released record. Its member storage,
 		// index map and bitset are dead, so reusing them cannot change any
 		// observable bit (the map is only ever looked up, never iterated).
 		m = a.free[k-1]

@@ -153,13 +153,12 @@ type Stateful interface {
 }
 
 // Releaser is implemented by channels that can recycle the buffers behind
-// a Mixed recording once the reader is finished with it. The streaming
-// campaign mode (protocol.Env.Stream) hands fully-resolved collision
-// records back through this hook so mega-N inventories run in bounded
-// memory; see docs/performance.md. A released recording must never be
-// decoded again — the record store only releases entries it has marked
-// resolved, and stops releasing entirely once a checkpoint clone shares
-// its recordings.
+// a Mixed recording once the reader is finished with it. Every recorded
+// reader's store hands resolved collision records back through this hook,
+// so a run keeps only its unresolved recordings alive; see
+// docs/performance.md. A released recording must never be decoded again —
+// the record store only releases entries it has marked resolved, and stops
+// releasing entirely once a checkpoint clone shares its recordings.
 type Releaser interface {
 	// ReleaseMixed returns the recording's buffers to the channel for
 	// reuse. Recordings the channel does not recognise are ignored.

@@ -84,9 +84,9 @@ type Env struct {
 	Faults *fault.Injector
 	// Stream enables the streaming campaign mode for mega-N populations:
 	// identified tags are compacted out of the active set's backing
-	// arrays, and fully-resolved collision records hand their recordings
-	// back to the channel for reuse (channel.Releaser), so steady-state
-	// memory tracks the outstanding population instead of the total one.
+	// arrays, so its memory tracks the outstanding population instead of
+	// the total one. (Resolved collision records hand their recordings
+	// back to a channel.Releaser in every run, streaming or not.)
 	// Streaming changes memory management only — no RNG draw, decode
 	// decision or trace event moves — so a streaming run is bit-identical
 	// to a non-streaming one. See docs/performance.md.

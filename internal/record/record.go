@@ -117,8 +117,8 @@ type Store struct {
 
 	// DropAbove, when positive, makes Add discard any record whose
 	// multiplicity exceeds it without indexing its members: the entry is
-	// never stored, its recording is released immediately in streaming
-	// mode, and no cascade will ever visit it. This is the roster-aware
+	// never stored, its recording is released immediately when a releaser
+	// is armed, and no cascade will ever visit it. This is the roster-aware
 	// session's cheap-cascade lever — a pseudo-random ALOHA reader replays
 	// every tag's slot choices, so it knows a slot's exact multiplicity up
 	// front and can prove a record beyond the decode capability (k > M, or
@@ -152,8 +152,8 @@ type Store struct {
 
 	// releaser, when armed via SetReleaser, receives each recording the
 	// moment its record is marked resolved (after any tracer event that
-	// inspects it), so the channel can recycle the buffers behind it —
-	// the record store's half of the streaming campaign mode. cloned
+	// inspects it), so the channel can recycle the buffers behind it and
+	// a run keeps only its unresolved recordings alive. cloned
 	// sticky-disables releasing once a checkpoint clone shares this
 	// store's recordings: a clone's unresolved records alias the same
 	// waveform buffers, so recycling them would corrupt the checkpoint.
@@ -184,7 +184,7 @@ func NewStore() *Store {
 	}
 }
 
-// SetReleaser arms streaming-mode record spilling: every recording whose
+// SetReleaser arms record spilling: every recording whose
 // record resolves (yields its ID, proves spent, or is quarantined) is
 // handed back to the channel for buffer reuse. Must be set before the
 // first Add; releasing stops permanently once Clone is called.
@@ -392,8 +392,8 @@ func (s *Store) Add(slot uint64, mix channel.Mixed, members []tagid.ID) []Resolv
 
 // Reset rewinds the store for a new run, retaining its arena chunks, map
 // bucket storage and cascade buffers. Equivalent to NewStore() in every
-// observable way: all counters, indexes, defenses and the streaming
-// releaser are cleared; chunks are zeroed so no recording from the
+// observable way: all counters, indexes, defenses and the releaser
+// are cleared; chunks are zeroed so no recording from the
 // previous run stays pinned.
 func (s *Store) Reset() {
 	s.Tracer = nil
@@ -623,8 +623,8 @@ func (s *Store) evict(e *entry, reason string) {
 func (s *Store) Clone() (*Store, error) {
 	// From here on the clone's unresolved records share waveform buffers
 	// with ours, so recycling them is permanently off (see SetReleaser).
-	// Streaming memory bounds degrade gracefully under checkpointing; the
-	// replayed behaviour stays bit-identical either way.
+	// Memory bounds degrade gracefully under checkpointing; the replayed
+	// behaviour stays bit-identical either way.
 	s.cloned = true
 	c := &Store{
 		Tracer:      s.Tracer,

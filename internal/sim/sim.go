@@ -63,15 +63,13 @@ type Config struct {
 	// protocol.Env.PAckLoss).
 	PAckLoss float64
 	// Stream enables the streaming campaign mode for mega-N populations:
-	// identified tags are compacted out of the active set, fully-resolved
-	// collision records hand their recordings back to the channel for
-	// reuse, and the runner recycles its per-run arenas (population
-	// buffer, channel state, protocol session structures) across
-	// repetitions, so steady-state memory tracks the outstanding
-	// population instead of the cumulative one. Streaming changes memory
-	// management only — no RNG draw, decode decision or trace event moves
-	// — so a streaming campaign is bit-identical to a non-streaming one.
-	// See docs/performance.md.
+	// identified tags are compacted out of the active set, so its memory
+	// tracks the outstanding population instead of the cumulative one.
+	// Resolved collision recordings go back to the channel, and the runner
+	// recycles its per-run arenas across repetitions, in every campaign,
+	// streaming or not. Streaming changes memory management only — no RNG
+	// draw, decode decision or trace event moves — so a streaming campaign
+	// is bit-identical to a non-streaming one. See docs/performance.md.
 	Stream bool
 	// Faults configures deterministic fault injection (see internal/fault).
 	// The zero value is the fault-free fast path: no wrapper channel, no
