@@ -118,7 +118,7 @@ func (c *Core) openRecorded(name string, env *Env, key string, dropAbove int) *r
 		sc.store.Reset()
 		clear(sc.seen)
 	} else {
-		sc = &reuse{store: record.NewStore(), seen: make(map[tagid.ID]struct{}, len(env.Tags))}
+		sc = &reuse{store: record.NewStoreCap(len(env.Tags)), seen: make(map[tagid.ID]struct{}, len(env.Tags))}
 		env.Scratch.Put(key, sc)
 	}
 	store := sc.store

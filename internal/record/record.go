@@ -177,10 +177,15 @@ type Store struct {
 }
 
 // NewStore returns an empty record store.
-func NewStore() *Store {
+func NewStore() *Store { return NewStoreCap(0) }
+
+// NewStoreCap returns an empty record store whose known-ID index has room
+// for n IDs, so a reader that will learn about n tags does not regrow it
+// as it reads them.
+func NewStoreCap(n int) *Store {
 	return &Store{
 		byMember: make(map[tagid.HashPrefix]*member),
-		known:    make(map[tagid.HashPrefix]tagid.ID),
+		known:    make(map[tagid.HashPrefix]tagid.ID, n),
 	}
 }
 
