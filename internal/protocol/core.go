@@ -135,6 +135,17 @@ func (c *Core) openRecorded(name string, env *Env, key string, dropAbove int) *r
 	return sc
 }
 
+// SetTracer points the session's event stream at t from the next event on;
+// nil silences it. It sets Env.Tracer and the record store's copy, which
+// OpenRecorded took when the session opened. A session rebuilt untraced
+// (a server replaying its journal) attaches its live tracer this way.
+func (c *Core) SetTracer(t obs.Tracer) {
+	c.Env.Tracer = t
+	if c.Store != nil {
+		c.Store.Tracer = t
+	}
+}
+
 // Protocol implements Session.
 func (c *Core) Protocol() string { return c.name }
 

@@ -185,8 +185,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // recover replays every surviving checkpoint into its shard. Shards
-// replay in parallel (each on its own goroutine with its own tracer);
-// a record that passes the CRC but fails replay is quarantined like a
+// replay in parallel, each on its own goroutine; replay is untraced and
+// a session takes its shard's tracer once verified (see replayHosted). A
+// record that passes the CRC but fails replay is quarantined like a
 // corrupt file — the server starts with what it can prove, not what it
 // hopes.
 func (s *Server) recover() error {

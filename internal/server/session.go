@@ -260,11 +260,18 @@ func (h *hosted) record() *Record {
 // sessions drew polar Box–Muller noise, which this build no longer does,
 // so they would reach the same step count with a different history and
 // are rejected.
+//
+// Replay is silent: the session is rebuilt untraced, on the same
+// zero-cost path as an untraced campaign, and tracer is attached only
+// once the replay is verified. Its history was exported by the process
+// that stepped it live, so the protocol counters and the health monitor
+// never count a replayed slot twice; the ledger is rebuilt all the same,
+// through Env.OnIdentified.
 func replayHosted(rec *Record, tracer obs.Tracer) (*hosted, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrReplayDiverged, err)
 	}
-	h, err := newHosted(rec.ID, rec.Spec, tracer)
+	h, err := newHosted(rec.ID, rec.Spec, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrReplayDiverged, err)
 	}
@@ -302,6 +309,7 @@ func replayHosted(rec *Record, tracer obs.Tracer) (*hosted, error) {
 	h.ckptSeq = rec.Seq
 	h.stepsSinceCkpt = 0
 	h.dirty = false
+	h.sess.(interface{ SetTracer(obs.Tracer) }).SetTracer(tracer)
 	return h, nil
 }
 
