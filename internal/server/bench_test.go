@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -75,5 +76,44 @@ func benchCheckpointWrite(b *testing.B, noSync bool) {
 		if _, err := store.Write(rec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServerRecover measures startup recovery: New over a directory
+// of recoverSessions journaled FCAT-2 sessions (recoverTags tags,
+// recoverSteps steps each) until every one of them is live again — the
+// checkpoint scan plus the parallel, untraced journal replay.
+func BenchmarkServerRecover(b *testing.B) {
+	const recoverSessions, recoverTags, recoverSteps = 16, 1000, 1024
+	dir := b.TempDir()
+	store, err := OpenStore(dir, nil, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < recoverSessions; i++ {
+		h, err := newHosted(fmt.Sprintf("rec-%02d", i), Spec{Protocol: "FCAT-2", Seed: uint64(i + 1), Tags: recoverTags}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := h.step(recoverSteps, time.Time{}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := store.Write(h.record()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(Config{Dir: dir, NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if s.Live() != recoverSessions {
+			b.Fatalf("recovered %d sessions, want %d", s.Live(), recoverSessions)
+		}
+		s.Kill()
+		b.StartTimer()
 	}
 }
