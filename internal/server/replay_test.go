@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func TestSilentReplayReactivation(t *testing.T) {
 	if s.Live() != 0 {
 		t.Fatal("session never evicted")
 	}
-	if code, st := getStatus(t, ts, "sr-1"); code != 200 || st.Steps != 200 {
+	if code, st := getStatus(t, ts, "sr-1"); code != http.StatusOK || st.Steps != 200 {
 		t.Fatalf("reactivation: HTTP %d at step %d", code, st.Steps)
 	}
 	if got := s.reg.Value(obs.MetricServerSessionsReactivated); got != 1 {
