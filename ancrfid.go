@@ -448,9 +448,11 @@ func RunDynamicOnce(p SessionProtocol, cfg DynamicSimConfig, run int) (WorkloadR
 
 // RunWorkload drives one session of p over env's initial population with
 // the dynamic schedule cfg; wl supplies the workload's own random stream
-// (arrival times, burst IDs, dwell draws), independent of env.RNG.
+// (arrival times, burst IDs, dwell draws), independent of env.RNG. It is
+// the driver behind RunDynamic and RunChaos, with faults off; a caller's
+// env.OnIdentified still fires.
 func RunWorkload(p SessionProtocol, env *Env, wl *RNG, cfg WorkloadConfig) (WorkloadReport, error) {
-	return workload.Run(p, env, wl, cfg)
+	return sim.RunWorkload(p, env, wl, cfg)
 }
 
 // ConveyorWorkload is a single-item belt: tags arrive at rate tags/s and

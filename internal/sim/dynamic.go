@@ -1,20 +1,26 @@
-// Dynamic-population campaigns: the Monte-Carlo harness over the workload
-// driver instead of the batch Run, with the same per-run seed derivation
-// and the same ordered-merge determinism contract as the static path (see
-// docs/parallelism.md).
+// Dynamic-population campaigns: the Monte-Carlo harness over the one
+// dynamic driver (driveWorkload) instead of the batch Run, with the same
+// per-run seed derivation and the same ordered-merge determinism contract
+// as the static path (see docs/parallelism.md). RunDynamic is RunChaos
+// without faults: the same precomputed workload script, delivered by the
+// same loop, with simulated-time snapshots instead of crash-recovery marks.
 package sim
 
 import (
 	"errors"
+	"time"
 
+	"github.com/ancrfid/ancrfid/internal/fault"
+	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
+	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/stats"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 	"github.com/ancrfid/ancrfid/internal/workload"
 )
 
 // ErrDynamicFaults is returned by RunDynamic and RunDynamicOnce when
-// Config.Faults enables fault injection. The workload driver runs no fault
+// Config.Faults enables fault injection. A dynamic run wraps no fault
 // channel, so the faults would be silently dropped; RunChaos is the
 // fault-injected dynamic path.
 var ErrDynamicFaults = errors.New("sim: dynamic runs do not inject faults; use RunChaos")
@@ -25,7 +31,7 @@ var ErrDynamicFaults = errors.New("sim: dynamic runs do not inject faults; use R
 // revokes tags while it runs.
 type DynamicConfig struct {
 	// Config carries the campaign knobs (Runs, Seed, Workers, channel,
-	// timing, tracing); Config.MaxSlots 0 lets the workload driver budget
+	// timing, tracing); Config.MaxSlots 0 lets the dynamic driver budget
 	// by horizon instead of by initial population.
 	Config
 	// Workload is the arrival/departure schedule of every run. Each run
@@ -82,29 +88,273 @@ func RunDynamic(p protocol.SessionProtocol, cfg DynamicConfig) (DynamicResult, e
 }
 
 // RunDynamicOnce executes a single dynamic run with the deterministic
-// generators derived from (cfg.Seed, run): the protocol draws from the
-// run generator exactly as a batch run would, and the workload schedule
-// draws from a Split-off child stream.
+// generators derived from (cfg.Seed, run): the protocol draws from the run
+// generator exactly as a batch run would, and the workload schedule draws
+// from a Split-off child stream.
 func RunDynamicOnce(p protocol.SessionProtocol, cfg DynamicConfig, run int) (workload.Report, error) {
 	if cfg.Faults.Enabled() {
 		return workload.Report{}, ErrDynamicFaults
 	}
 	cfg.Config = cfg.Config.withDefaults()
-	r := runRNG(cfg.Seed, run)
-	tags := tagid.Population(r, cfg.Tags)
+	env, wl := cfg.dynamicEnv(run)
+	return RunWorkload(p, env, wl, cfg.Workload)
+}
+
+// RunWorkload drives one session of p over env's initial population with
+// the dynamic schedule cfg, drawn from wl (a stream independent of env.RNG;
+// see package workload). It is RunChaos's driver with faults off: the
+// session steps until its air clock passes cfg.Duration, and arrivals,
+// departures and cfg.CheckpointEvery's simulated-time snapshots due at or
+// before the current air time are delivered between steps. A caller's
+// env.OnIdentified still fires. On error (e.g. protocol.ErrNoProgress) the
+// partially accumulated Report is still returned.
+func RunWorkload(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source, cfg workload.Config) (workload.Report, error) {
+	rep, err := driveWorkload(p, env, wl, cfg, 0, nil)
+	return workload.Report{
+		Protocol:       rep.Protocol,
+		Metrics:        rep.Metrics,
+		Tags:           rep.Tags,
+		Admitted:       rep.Admitted,
+		Identified:     rep.Identified,
+		DepartedUnread: rep.DepartedUnread,
+		ActiveUnread:   rep.ActiveUnread,
+		Checkpoints:    rep.Checkpoints,
+		Duration:       rep.Duration,
+	}, err
+}
+
+// dynamicEnv builds the environment of one dynamic run and the workload
+// generator its schedule draws from, split off the run generator after the
+// initial population.
+func (c Config) dynamicEnv(run int) (*protocol.Env, *rng.Source) {
+	r := runRNG(c.Seed, run)
+	tags := tagid.Population(r, c.Tags)
 	wl := r.Split()
-	ch := cfg.newChannel(r)
-	env := &protocol.Env{
+	return &protocol.Env{
 		RNG:      r,
 		Tags:     tags,
-		Channel:  ch,
-		Timing:   cfg.Timing,
-		TxModel:  cfg.TxModel,
-		MaxSlots: cfg.MaxSlots,
-		PAckLoss: cfg.PAckLoss,
-		Tracer:   cfg.tracer(),
+		Channel:  c.newChannel(r),
+		Timing:   c.Timing,
+		TxModel:  c.TxModel,
+		MaxSlots: c.MaxSlots,
+		PAckLoss: c.PAckLoss,
+		Tracer:   c.tracer(),
+	}, wl
+}
+
+// rollbackMark is one crash-recovery checkpoint: the session checkpoint
+// plus a copy of the driver's own progress (script cursors, counters and
+// per-tag lifecycle), so a restore rewinds driver and session to the same
+// instant.
+type rollbackMark struct {
+	cp         protocol.Checkpoint
+	seq        int // checkpoint sequence number
+	at         time.Duration
+	arrCur     int
+	depCur     int
+	present    int
+	identified int
+	tags       []workload.TagRecord
+}
+
+// driveWorkload is the one dynamic driver, behind RunWorkload, RunDynamic
+// and RunChaos. It opens a session of p over env's initial population and
+// delivers the workload.Schedule drawn from wl and cfg between steps until
+// the air clock passes cfg.Duration. Identifications are stamped with the
+// post-step clock, so latency is measured at slot granularity; IDs that
+// were never admitted (or not yet) count as phantoms and repeats within
+// one crash-free stretch as duplicates. A caller's env.OnIdentified is
+// chained.
+//
+// Two checkpoint cadences may be set. cfg.CheckpointEvery, in simulated
+// time, takes snapshots that are counted and discarded; one that fails is
+// skipped. markEvery, in executed slots, takes the crash-recovery marks,
+// the first before the first step; one that fails ends the run. When
+// env.Faults crashes the reader, session and driver rewind to the last
+// mark. fch, when non-nil, is the fault channel that follows admissions
+// and departures. On error the partial report is returned.
+func driveWorkload(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source, cfg workload.Config,
+	markEvery int, fch *fault.Channel) (ChaosReport, error) {
+	if env.MaxSlots == 0 {
+		// The batch default (200N + 10k) does not scale with the horizon;
+		// budget four slot-times per unit of simulated time plus headroom.
+		env.MaxSlots = int(4*cfg.Duration/env.Timing.Slot()) + 10000
 	}
-	return workload.Run(p, env, wl, cfg.Workload)
+	sc := workload.Schedule(env.Tags, wl, cfg)
+	index := make(map[tagid.ID]int, len(sc.Arrivals)) // ID -> seq
+	for seq, a := range sc.Arrivals {
+		index[a.ID] = seq
+	}
+
+	var pendingIdent []tagid.ID
+	prevIdent := env.OnIdentified
+	env.OnIdentified = func(id tagid.ID, viaResolution bool) {
+		if prevIdent != nil {
+			prevIdent(id, viaResolution)
+		}
+		pendingIdent = append(pendingIdent, id)
+	}
+
+	rep := ChaosReport{Protocol: p.Name()}
+	// The initial population enters through env.Tags (Begin reads it), so
+	// only its lifecycle records are kept here.
+	arrCur := len(env.Tags)
+	for _, a := range sc.Arrivals[:arrCur] {
+		rep.Tags = append(rep.Tags, workload.TagRecord{ID: a.ID})
+	}
+	present := arrCur // admitted and not departed
+
+	s := p.Begin(env)
+
+	var (
+		depCur   int
+		wall     uint64
+		mark     rollbackMark
+		runErr   error
+		nextSnap = cfg.CheckpointEvery
+	)
+	snapshot := func(now time.Duration) (protocol.Checkpoint, error) {
+		cp, err := s.Snapshot()
+		if err == nil {
+			env.Emit(obs.Event{Kind: obs.SessionCheckpoint, Seq: rep.Checkpoints, At: now,
+				N1: s.Outstanding(), N2: s.Metrics().Identified()})
+			rep.Checkpoints++
+		}
+		return cp, err
+	}
+
+	// wallCap bounds total executed slots, rolled-back work included. The
+	// crash cycle guarantees net progress (CrashEvery >= 2*markEvery,
+	// rollback <= markEvery), so 4x the session budget only trips on
+	// genuine livelock; the run then reports ErrNoProgress with the partial
+	// accounting intact.
+	wallCap := uint64(env.MaxSlots) * 4
+
+	for {
+		now := s.Elapsed()
+
+		// Stamp identifications from the last step. An ID outside the
+		// admitted set is a phantom (a poisoned record that slipped past
+		// the CRC defenses, or a tag read before it entered the field); a
+		// repeat is a duplicate (crash replays are rolled back below before
+		// they re-stamp).
+		for _, id := range pendingIdent {
+			seq, ok := index[id]
+			switch {
+			case !ok || seq >= arrCur:
+				rep.Phantoms++
+			case rep.Tags[seq].Identified:
+				rep.DupIdents++
+			default:
+				rep.Tags[seq].Identified = true
+				rep.Tags[seq].IdentifiedAt = now
+				rep.Identified++
+			}
+		}
+		pendingIdent = pendingIdent[:0]
+
+		// Deliver script events due at or before the air clock, in time
+		// order. A departure waits for its own tag's arrival (a zero dwell
+		// schedules both at one instant, departure first by sort order).
+		for {
+			depDue := depCur < len(sc.Departures) && sc.Departures[depCur].At <= now &&
+				sc.Departures[depCur].Seq < arrCur
+			arrDue := arrCur < len(sc.Arrivals) && sc.Arrivals[arrCur].At <= now
+			if depDue && arrDue {
+				// A departure wins a tie with an arrival, except one from
+				// the departing tag's own burst, which arrives whole first.
+				d, a := sc.Departures[depCur], sc.Arrivals[arrCur]
+				depDue = d.At <= a.At && sc.Arrivals[d.Seq].At < a.At
+			}
+			if depDue {
+				d := sc.Departures[depCur]
+				depCur++
+				rec := &rep.Tags[d.Seq]
+				rec.Departed = true
+				rec.DepartedAt = d.At
+				present--
+				s.Revoke([]tagid.ID{rec.ID})
+				if fch != nil {
+					fch.Revoke(rec.ID)
+				}
+				env.Emit(obs.Event{Kind: obs.TagDeparture, ID: rec.ID, At: d.At, Flag: rec.Identified})
+			} else if arrDue {
+				a := sc.Arrivals[arrCur]
+				arrCur++
+				present++
+				rep.Tags = append(rep.Tags, workload.TagRecord{ID: a.ID, ArrivedAt: a.At})
+				if fch != nil {
+					fch.Admit(a.ID)
+				}
+				s.Admit([]tagid.ID{a.ID})
+				env.Emit(obs.Event{Kind: obs.TagArrival, ID: a.ID, At: a.At, N1: present})
+			} else {
+				break
+			}
+		}
+
+		if now >= cfg.Duration {
+			break
+		}
+		if markEvery > 0 && wall%uint64(markEvery) == 0 {
+			cp, err := snapshot(now)
+			if err != nil {
+				runErr = err
+				break
+			}
+			mark = rollbackMark{cp: cp, seq: rep.Checkpoints - 1, at: now, arrCur: arrCur, depCur: depCur,
+				present: present, identified: rep.Identified, tags: append(mark.tags[:0], rep.Tags...)}
+		}
+		if cfg.CheckpointEvery > 0 && now >= nextSnap {
+			_, _ = snapshot(now) // discarded; a failed snapshot is just not counted
+			for nextSnap <= now {
+				nextSnap += cfg.CheckpointEvery
+			}
+		}
+
+		if _, err := s.Step(); err != nil {
+			runErr = err
+			break
+		}
+		wall++
+		if wall > wallCap {
+			runErr = protocol.ErrNoProgress
+			break
+		}
+
+		// Reader crash: rewind session AND driver to the last mark. The
+		// wall counter is deliberately not rewound — it schedules the next
+		// crash and bounds total work.
+		if env.Faults.ShouldCrash(wall) && mark.cp != nil {
+			if err := s.Restore(mark.cp); err != nil {
+				runErr = err
+				break
+			}
+			arrCur, depCur, present = mark.arrCur, mark.depCur, mark.present
+			rep.Identified = mark.identified
+			rep.Tags = append(rep.Tags[:0], mark.tags...)
+			pendingIdent = pendingIdent[:0]
+			rep.Crashes++
+			env.Emit(obs.Event{Kind: obs.FaultInjected, Seq: int(wall), Sub: uint8(obs.FaultCrash)})
+			env.Emit(obs.Event{Kind: obs.ReaderRestart, Seq: int(wall), At: mark.at, N1: mark.seq})
+		}
+	}
+
+	rep.Metrics = s.Metrics()
+	rep.Duration = s.Elapsed()
+	rep.WallSteps = wall
+	rep.Admitted = len(rep.Tags)
+	for i := range rep.Tags {
+		t := &rep.Tags[i]
+		if t.Departed && !t.Identified {
+			rep.DepartedUnread++
+		}
+		if !t.Departed && !t.Identified {
+			rep.ActiveUnread++
+		}
+	}
+	env.TraceRunEnd(p.Name(), rep.Metrics, runErr)
+	return rep, runErr
 }
 
 func (r *DynamicResult) summarize() {

@@ -1,4 +1,6 @@
-package workload
+// The driver tests run the one dynamic driver, sim.RunWorkload, over this
+// package's schedules; the external test package breaks the import cycle.
+package workload_test
 
 import (
 	"reflect"
@@ -10,7 +12,9 @@ import (
 	"github.com/ancrfid/ancrfid/internal/fcat"
 	"github.com/ancrfid/ancrfid/internal/protocol"
 	"github.com/ancrfid/ancrfid/internal/rng"
+	"github.com/ancrfid/ancrfid/internal/sim"
 	"github.com/ancrfid/ancrfid/internal/tagid"
+	"github.com/ancrfid/ancrfid/internal/workload"
 )
 
 // newEnv builds a fresh deterministic environment for one dynamic run.
@@ -34,7 +38,7 @@ func newEnv(seed uint64, tags int) (*protocol.Env, *rng.Source) {
 func TestConveyorAccounting(t *testing.T) {
 	env, wl := newEnv(7, 10)
 	p := fcat.New(fcat.Config{Lambda: 2})
-	rep, err := Run(p, env, wl, Conveyor(80, 500*time.Millisecond, 5*time.Second))
+	rep, err := sim.RunWorkload(p, env, wl, workload.Conveyor(80, 500*time.Millisecond, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +84,11 @@ func TestConveyorAccounting(t *testing.T) {
 // TestRunDeterminism re-runs the identical configuration and expects the
 // byte-identical report.
 func TestRunDeterminism(t *testing.T) {
-	cfg := Config{Duration: 2 * time.Second, ArrivalRate: 50, DepartureRate: 0.2, Burst: 3}
+	cfg := workload.Config{Duration: 2 * time.Second, ArrivalRate: 50, DepartureRate: 0.2, Burst: 3}
 	env1, wl1 := newEnv(11, 5)
-	rep1, err1 := Run(fcat.New(fcat.Config{Lambda: 2}), env1, wl1, cfg)
+	rep1, err1 := sim.RunWorkload(fcat.New(fcat.Config{Lambda: 2}), env1, wl1, cfg)
 	env2, wl2 := newEnv(11, 5)
-	rep2, err2 := Run(fcat.New(fcat.Config{Lambda: 2}), env2, wl2, cfg)
+	rep2, err2 := sim.RunWorkload(fcat.New(fcat.Config{Lambda: 2}), env2, wl2, cfg)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -96,8 +100,8 @@ func TestRunDeterminism(t *testing.T) {
 // TestCheckpointCadence checks periodic snapshots are taken and counted.
 func TestCheckpointCadence(t *testing.T) {
 	env, wl := newEnv(3, 20)
-	cfg := Config{Duration: 2 * time.Second, ArrivalRate: 20, CheckpointEvery: 250 * time.Millisecond}
-	rep, err := Run(fcat.New(fcat.Config{Lambda: 2}), env, wl, cfg)
+	cfg := workload.Config{Duration: 2 * time.Second, ArrivalRate: 20, CheckpointEvery: 250 * time.Millisecond}
+	rep, err := sim.RunWorkload(fcat.New(fcat.Config{Lambda: 2}), env, wl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +115,8 @@ func TestCheckpointCadence(t *testing.T) {
 // missed-read accounting has to catch them.
 func TestPortalMissedReads(t *testing.T) {
 	env, wl := newEnv(5, 0)
-	cfg := Portal(40, 2, 30*time.Millisecond, 3*time.Second)
-	rep, err := Run(fcat.New(fcat.Config{Lambda: 2}), env, wl, cfg)
+	cfg := workload.Portal(40, 2, 30*time.Millisecond, 3*time.Second)
+	rep, err := sim.RunWorkload(fcat.New(fcat.Config{Lambda: 2}), env, wl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +132,13 @@ func TestPortalMissedReads(t *testing.T) {
 // TestPercentile pins the nearest-rank definition.
 func TestPercentile(t *testing.T) {
 	lat := []time.Duration{40, 10, 20, 30}
-	if got := Percentile(lat, 50); got != 20 {
+	if got := workload.Percentile(lat, 50); got != 20 {
 		t.Fatalf("p50 = %v, want 20", got)
 	}
-	if got := Percentile(lat, 100); got != 40 {
+	if got := workload.Percentile(lat, 100); got != 40 {
 		t.Fatalf("p100 = %v, want 40", got)
 	}
-	if got := Percentile(nil, 50); got != 0 {
+	if got := workload.Percentile(nil, 50); got != 0 {
 		t.Fatalf("empty p50 = %v, want 0", got)
 	}
 }
