@@ -1,9 +1,11 @@
 package channel
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/ancrfid/ancrfid/internal/rng"
+	"github.com/ancrfid/ancrfid/internal/signal"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
@@ -168,54 +170,21 @@ func TestSignalConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestSignalFrequencyOffsetResolution(t *testing.T) {
-	// With free-running tag oscillators, the offset-aware decoder still
-	// resolves two-collisions.
-	r := rng.New(20)
-	ch := NewSignal(SignalConfig{FrequencyOffsetMax: 0.04, NoiseSigma: 0.02}, r)
-	resolved, collisions := 0, 0
-	for i := 0; i < 20; i++ {
-		tags := ids(r, 2)
-		obs := ch.Observe(tags)
-		if obs.Kind != Collision {
-			continue
-		}
-		collisions++
-		obs.Mix.Subtract(tags[0])
-		if got, ok := obs.Mix.Decode(); ok {
-			if got != tags[1] {
-				t.Fatal("resolved the wrong ID")
-			}
-			resolved++
-		}
-	}
-	if collisions == 0 {
-		t.Skip("no collisions observed")
-	}
-	if resolved < collisions*2/3 {
-		t.Fatalf("only %d/%d drifting collisions resolved", resolved, collisions)
-	}
-}
-
-func TestSignalFrequencyOffsetSingletons(t *testing.T) {
-	// Offsets within the differential demodulator's tolerance must not
-	// break plain singleton reads.
-	r := rng.New(21)
-	ch := NewSignal(SignalConfig{FrequencyOffsetMax: 0.04}, r)
-	for i := 0; i < 30; i++ {
-		tags := ids(r, 1)
-		obs := ch.Observe(tags)
-		if obs.Kind != Singleton || obs.ID != tags[0] {
-			t.Fatalf("singleton decode failed under oscillator offset (kind %v)", obs.Kind)
-		}
-	}
-}
-
 // TestSignalResetBoundsReferenceCache reuses one channel across
 // repetitions over fresh populations, as the campaign runner does through
 // Resettable. The reference cache must hold at most one population, and
 // every observation and decode must match a newly constructed channel's.
+// The channel must also hold no per-tag Plane: a map from tag ID to a
+// 6 160 B plane would grow with the population that the compact Refs
+// exist to keep small.
 func TestSignalResetBoundsReferenceCache(t *testing.T) {
+	planeType := reflect.TypeOf((*signal.Plane)(nil))
+	st := reflect.TypeOf(Signal{})
+	for i := 0; i < st.NumField(); i++ {
+		if f := st.Field(i); f.Type.Kind() == reflect.Map && f.Type.Elem() == planeType {
+			t.Fatalf("Signal.%s is a per-tag plane map (%v)", f.Name, f.Type)
+		}
+	}
 	const pop, reps = 40, 6
 	reused := NewSignal(SignalConfig{MaxCancel: 2}, rng.New(1000))
 	for rep := 0; rep < reps; rep++ {

@@ -22,8 +22,10 @@ func FuzzRoundTrip(f *testing.F) {
 			return
 		}
 		id := tagid.New(hi, lo)
-		w := ModulateID(id, DefaultSamplesPerBit)
-		got, ok := DecodeID(Scale(w, cmplx.Rect(amp, phase)), DefaultSamplesPerBit)
+		w := Scale(ModulateID(id, DefaultSamplesPerBit), cmplx.Rect(amp, phase))
+		var p Plane
+		p.SetWaveform(w)
+		got, ok := DecodeIDPlane(&p, DefaultSamplesPerBit)
 		if !ok || got != id {
 			t.Fatalf("round trip failed for %v at amp %v phase %v", id, amp, phase)
 		}
@@ -39,7 +41,9 @@ func FuzzDecodeNeverPanics(f *testing.F) {
 			w[i] = complex(float64(b)/32-4, float64(b^0x5A)/32-4)
 		}
 		// Must classify or reject, never panic.
-		_, _ = DecodeID(w, DefaultSamplesPerBit)
-		_ = EnvelopeFlat(w, 0.05)
+		var p Plane
+		p.SetWaveform(w)
+		_, _ = DecodeIDPlane(&p, DefaultSamplesPerBit)
+		_ = EnvelopeFlatPlane(&p, 0.05)
 	})
 }

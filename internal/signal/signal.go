@@ -11,13 +11,17 @@
 // the assumption: tests and examples resolve real superimposed MSK
 // waveforms, and the signal-backed channel in package channel runs the full
 // protocols over these waveforms.
+//
+// Demodulation, the envelope test, gain fitting, cancellation and noise
+// run on one set of kernels over structure-of-arrays Planes (soa.go).
+// Waveform is the interleaved form callers build collisions in; the
+// ancrfid facade converts it to a Plane at the kernel boundary.
 package signal
 
 import (
 	"math"
 	"math/cmplx"
 
-	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
@@ -114,170 +118,12 @@ func Mix(ws ...Waveform) Waveform {
 	return out
 }
 
-// AddNoise adds complex AWGN with per-sample standard deviation sigma
-// (sigma^2 split evenly between I and Q) in place and returns w. It draws
-// the ziggurat sampler I then Q per sample, exactly as AddNoisePlane does,
-// so the scalar and plane paths share one noise definition.
-func AddNoise(w Waveform, sigma float64, r *rng.Source) Waveform {
-	if sigma <= 0 {
-		return w
-	}
-	s := sigma / math.Sqrt2
-	for i := range w {
-		w[i] += complex(s*r.ZigNormFloat64(), s*r.ZigNormFloat64())
-	}
-	return w
-}
-
-// Demodulate recovers nbits bits from an MSK waveform produced by Modulate
-// (pilot sample first) by integrating the differential phase over each bit
-// interval. It is gain- and phase-offset invariant.
-func Demodulate(w Waveform, nbits, spb int) []byte {
-	out := make([]byte, (nbits+7)/8)
-	demodulateInto(out, w, nbits, spb)
-	return out
-}
-
-// demodulateInto sets the demodulated bits in out, which must be zeroed and
-// at least ceil(nbits/8) long.
-func demodulateInto(out []byte, w Waveform, nbits, spb int) {
-	for i := 0; i < nbits; i++ {
-		var acc complex128
-		base := 1 + i*spb
-		for s := 0; s < spb; s++ {
-			acc += w[base+s] * cmplx.Conj(w[base+s-1])
-		}
-		if imag(acc) > 0 {
-			out[i/8] |= 1 << (7 - i%8)
-		}
-	}
-}
-
-// DecodeID demodulates a 96-bit waveform and reports whether the embedded
-// CRC verifies. This is exactly how the reader distinguishes a clean
-// singleton (or a fully cancelled collision residual) from garbage.
-func DecodeID(w Waveform, spb int) (tagid.ID, bool) {
-	if len(w) != 1+tagid.Bits*spb {
-		return tagid.ID{}, false
-	}
-	var id tagid.ID
-	demodulateInto(id[:], w, tagid.Bits, spb)
-	return id, id.Valid()
-}
-
-// EnvelopeFlat reports whether the waveform has the constant envelope of a
-// single MSK transmission: the magnitude standard deviation must sit within
-// the noise floor (noiseSigma) plus a small relative guard. Readers use
-// this to reject capture-effect decodes — the stronger of two superimposed
-// MSK signals often demodulates with a valid CRC, but the mix's envelope
-// gives the collision away.
-func EnvelopeFlat(w Waveform, noiseSigma float64) bool {
-	if len(w) == 0 {
-		return true
-	}
-	// Single pass over the samples: accumulate the first two magnitude
-	// moments and form the variance as E[m^2] - E[m]^2. The subtraction can
-	// lose relative precision when the envelope really is flat, but the
-	// absolute error (~machine-epsilon * mean^2) is ten orders of magnitude
-	// below the 2% relative guard in the decision threshold.
-	var sum, sumsq float64
-	for _, s := range w {
-		re, im := real(s), imag(s)
-		msq := re*re + im*im
-		sum += math.Sqrt(msq)
-		sumsq += msq
-	}
-	n := float64(len(w))
-	mean := sum / n
-	varsum := sumsq/n - mean*mean
-	if varsum < 0 {
-		varsum = 0
-	}
-	sd := math.Sqrt(varsum)
-	return sd <= 3*noiseSigma+0.02*mean
-}
-
-// EstimateGains jointly least-squares-fits the complex gains of the given
-// reference waveforms inside mixed: it solves min ||mixed - R g||^2 where
-// the columns of R are the references. With one reference this is the
-// matched-filter estimate; with several it is the joint successive
-// interference cancellation step used to peel multi-tag collisions.
-func EstimateGains(mixed Waveform, refs []Waveform) []complex128 {
-	var s GainScratch
-	return s.EstimateGains(nil, mixed, refs)
-}
-
 // GainScratch holds the normal-equation buffers for repeated least-squares
 // gain fits, so a decoder running one fit per cancellation attempt stays
 // allocation-free. The zero value is ready to use; a GainScratch must not
 // be shared between goroutines.
 type GainScratch struct {
 	buf []complex128 // m*m matrix followed by the m-vector, one backing array
-}
-
-// EstimateGains is EstimateGains with caller-provided result storage: the
-// gains are appended to dst[:0]'s backing array (grown as needed) and the
-// normal equations are built in the scratch buffer. It performs the exact
-// same floating-point operations as the package-level EstimateGains, in the
-// same order, so the two are bit-identical. Returns nil when the system is
-// singular (e.g. two identical references).
-func (s *GainScratch) EstimateGains(dst []complex128, mixed Waveform, refs []Waveform) []complex128 {
-	m := len(refs)
-	if m == 0 {
-		return nil
-	}
-	if cap(s.buf) < m*m+m {
-		s.buf = make([]complex128, m*m+m)
-	}
-	// Normal equations: (R^H R) g = R^H y, an m x m complex system.
-	a := s.buf[:m*m]
-	b := s.buf[m*m : m*m+m]
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			var dot complex128
-			for n := range mixed {
-				dot += cmplx.Conj(refs[i][n]) * refs[j][n]
-			}
-			a[i*m+j] = dot
-		}
-		var dot complex128
-		for n := range mixed {
-			dot += cmplx.Conj(refs[i][n]) * mixed[n]
-		}
-		b[i] = dot
-	}
-	if cap(dst) < m {
-		dst = make([]complex128, m)
-	}
-	dst = dst[:m]
-	if !solveComplex(a, b, dst, m) {
-		return nil
-	}
-	return dst
-}
-
-// Cancel subtracts gain-weighted references from mixed and returns the
-// residual waveform.
-func Cancel(mixed Waveform, refs []Waveform, gains []complex128) Waveform {
-	return CancelInto(nil, mixed, refs, gains)
-}
-
-// CancelInto is Cancel with a caller-provided destination buffer, reused
-// across calls to keep the decoder's steady state allocation-free. dst may
-// be nil (a fresh buffer is allocated) but must not alias any of the refs.
-func CancelInto(dst, mixed Waveform, refs []Waveform, gains []complex128) Waveform {
-	if cap(dst) < len(mixed) {
-		dst = make(Waveform, len(mixed))
-	}
-	dst = dst[:len(mixed)]
-	copy(dst, mixed)
-	for k, ref := range refs {
-		g := gains[k]
-		for i := range dst {
-			dst[i] -= g * ref[i]
-		}
-	}
-	return dst
 }
 
 // solveComplex solves the small dense complex system a*x = b by Gaussian

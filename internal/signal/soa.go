@@ -2,7 +2,6 @@ package signal
 
 import (
 	"math"
-	"math/cmplx"
 
 	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
@@ -15,12 +14,14 @@ import (
 // bounds checks, and independent accumulator chains keep both FP ports
 // busy instead of serialising on one complex accumulator.
 //
-// Every kernel in this file is bit-identical to its scalar Waveform
-// counterpart: each output value is produced by the exact same sequence of
-// floating-point operations, in the same order, as the complex128 code
-// path. (Go's complex multiply lowers to the naive four-multiply form with
-// individually rounded parts, which is exactly what the plane loops spell
-// out; conjugation and negation are exact, so Hermitian mirrors reuse the
+// These are the only signal kernels: the channel runs them, and the
+// ancrfid facade runs them on Waveforms through SetWaveform and Waveform.
+// Each is bit-identical to a scalar complex128 loop kept as a test oracle
+// (scalar_test.go): every output value is produced by the exact same
+// sequence of floating-point operations, in the same order. (Go's complex
+// multiply lowers to the naive four-multiply form with individually
+// rounded parts, which is exactly what the plane loops spell out;
+// conjugation and negation are exact, so Hermitian mirrors reuse the
 // transposed dot product instead of recomputing it.) The only deliberate
 // exception is EnvelopeFlatPlane's fast path, which uses reassociated
 // moment sums to *bound* the decision — whenever the bound is not
@@ -94,41 +95,10 @@ func ModulateInto(p *Plane, data []byte, nbits, spb int) {
 	mskTables.modulateInto(p, data, nbits, spb)
 }
 
-// ModulateIDInto is ModulateID writing into a reusable plane.
-func ModulateIDInto(p *Plane, id tagid.ID, spb int) {
-	ModulateInto(p, id.Bytes(), tagid.Bits, spb)
-}
-
-// RotationInto fills p with the n-sample phase ramp e^(i*dw*k), the
-// frequency-offset rotation a drifting tag applies to its waveform. The
-// samples are computed by the exact expression the scalar synthesis loop
-// uses, so a cached rotation plane reproduces its bits.
-func RotationInto(p *Plane, dw float64, n int) {
-	p.resize(n)
-	for i := 0; i < n; i++ {
-		e := Cis(dw * float64(i))
-		p.Re[i], p.Im[i] = real(e), imag(e)
-	}
-}
-
-// AccumulateScaled adds gain-scaled ref into p sample-wise: p += ref * g.
-// Bit-identical to `rx[i] += ref[i] * g` over complex128.
-func (p *Plane) AccumulateScaled(ref *Plane, g complex128) {
-	gr, gi := real(g), imag(g)
-	n := p.Len()
-	pr, pi := p.Re[:n], p.Im[:n]
-	rr, ri := ref.Re[:n], ref.Im[:n]
-	for k := range pr {
-		sr, si := rr[k], ri[k]
-		pr[k] += sr*gr - si*gi
-		pi[k] += sr*gi + si*gr
-	}
-}
-
-// AccumulateScaledRef is AccumulateScaled reading the reference through
-// its phase-state indices: the same operations in the same order on the
-// same sample values, so p ends bit-identical to accumulating the
-// expanded plane.
+// AccumulateScaledRef adds a gain-scaled reference into p sample-wise,
+// p += ref * g, reading the reference through its phase-state indices. It
+// is bit-identical to `rx[i] += ref[i] * g` over the expanded complex128
+// samples.
 func (p *Plane) AccumulateScaledRef(ref *Ref, g complex128) {
 	gr, gi := real(g), imag(g)
 	n := p.Len()
@@ -143,27 +113,10 @@ func (p *Plane) AccumulateScaledRef(ref *Ref, g complex128) {
 	}
 }
 
-// AccumulateScaledRotated adds a rotated, gain-scaled ref into p:
-// p[k] += (ref[k] * rot[k]) * g, the association order of the scalar
-// synthesis loop `rx[i] += s * e^(i*dw*i) * g`.
-func (p *Plane) AccumulateScaledRotated(ref, rot *Plane, g complex128) {
-	gr, gi := real(g), imag(g)
-	n := p.Len()
-	pr, pi := p.Re[:n], p.Im[:n]
-	rr, ri := ref.Re[:n], ref.Im[:n]
-	wr, wi := rot.Re[:n], rot.Im[:n]
-	for k := range pr {
-		sr, si := rr[k], ri[k]
-		tr := sr*wr[k] - si*wi[k]
-		ti := sr*wi[k] + si*wr[k]
-		pr[k] += tr*gr - ti*gi
-		pi[k] += tr*gi + ti*gr
-	}
-}
-
-// AddNoisePlane adds complex AWGN in place, drawing the generator in the
-// exact order AddNoise does (I then Q per sample). The deviates come from
-// rng.ZigNormFloat64, whose common path has no log or sqrt.
+// AddNoisePlane adds complex AWGN with per-sample standard deviation sigma
+// (sigma^2 split evenly between I and Q) in place, drawing the generator I
+// then Q per sample. The deviates come from rng.ZigNormFloat64, whose
+// common path has no log or sqrt.
 func AddNoisePlane(p *Plane, sigma float64, r *rng.Source) {
 	if sigma <= 0 {
 		return
@@ -177,9 +130,12 @@ func AddNoisePlane(p *Plane, sigma float64, r *rng.Source) {
 	}
 }
 
-// DecodeIDPlane is DecodeID over a plane: differential MSK demodulation of
-// a 96-bit waveform plus CRC verification. The per-bit decision integrates
-// imag(w[n] * conj(w[n-1])) with the scalar loop's operation order.
+// DecodeIDPlane demodulates a 96-bit MSK waveform (pilot sample first, as
+// ModulateInto writes it) and reports whether the embedded CRC verifies.
+// This is how the reader tells a clean singleton, or a fully cancelled
+// collision residual, from garbage. The per-bit decision integrates
+// imag(w[n] * conj(w[n-1])) over the bit interval, so it is gain- and
+// phase-offset invariant.
 func DecodeIDPlane(p *Plane, spb int) (tagid.ID, bool) {
 	if p.Len() != 1+tagid.Bits*spb {
 		return tagid.ID{}, false
@@ -205,11 +161,18 @@ func DecodeIDPlane(p *Plane, spb int) (tagid.ID, bool) {
 	return id, id.Valid()
 }
 
-// EnvelopeFlatPlane is EnvelopeFlat over a plane. The fast path makes one
-// branchless pass accumulating the first two moments of the squared
-// magnitude X = |s|^2 (reassociated into independent partial sums, so the
-// loop is add/mul throughput-bound instead of sqrt throughput-bound like
-// the scalar test) and decides from a rigorous envelope bound:
+// EnvelopeFlatPlane reports whether the waveform has the constant envelope
+// of a single MSK transmission: the magnitude standard deviation must sit
+// within 3*noiseSigma plus 2% of the mean magnitude. Readers use it to
+// reject capture-effect decodes — the stronger of two superimposed MSK
+// signals often demodulates with a valid CRC, but the mix's envelope gives
+// the collision away.
+//
+// The fast path makes one branchless pass accumulating the first two
+// moments of the squared magnitude X = |s|^2 (reassociated into
+// independent partial sums, so the loop is add/mul throughput-bound
+// instead of sqrt throughput-bound like the exact test) and decides from a
+// rigorous envelope bound:
 //
 //	Var(m) <= E[(m - sqrt(q))^2] = E[(X-q)^2 / (m + sqrt(q))^2] <= Var(X)/q
 //
@@ -218,8 +181,10 @@ func DecodeIDPlane(p *Plane, spb int) (tagid.ID, bool) {
 // tolerance covering the reassociation error) prove the scalar test would
 // accept, the answer is true without touching a square root per sample;
 // anything else — including every rejection — falls back to the exact
-// scalar-order loop, so the decision is always bit-identical to
-// EnvelopeFlat.
+// one-pass loop over E[m] and E[m^2], so the decision is always the one
+// the scalar oracle computes. That loop forms the variance as
+// E[m^2] - E[m]^2; the absolute error of the subtraction (~machine epsilon
+// * mean^2) is ten orders of magnitude below the 2% guard.
 func EnvelopeFlatPlane(p *Plane, noiseSigma float64) bool {
 	n := p.Len()
 	if n == 0 {
@@ -281,9 +246,15 @@ func EnvelopeFlatPlane(p *Plane, noiseSigma float64) bool {
 	return sd <= 3*noiseSigma+0.02*mean
 }
 
-// EstimateGainsPlane is GainScratch.EstimateGains over planes: it builds
-// the normal equations (R^H R) g = R^H y with fused dot-product loops and
-// solves the same small complex system. The Gram matrix is Hermitian, so
+// EstimateGainsPlane jointly least-squares-fits the complex gains of the
+// reference planes inside mixed: it solves min ||mixed - R g||^2 where the
+// columns of R are the references. With one reference this is the
+// matched-filter estimate; with several it is the joint successive
+// interference cancellation step used to peel multi-tag collisions. The
+// gains are appended to dst[:0]'s backing array (grown as needed), and the
+// normal equations (R^H R) g = R^H y are built with fused dot-product
+// loops in the scratch buffer. Returns nil when the system is singular
+// (e.g. two identical references). The Gram matrix is Hermitian, so
 // only the upper triangle is computed; the mirrored entry a[j][i] =
 // conj(a[i][j]) is bit-identical to the scalar path's independent dot
 // product because negation is exact and IEEE rounding is sign-symmetric
@@ -291,7 +262,7 @@ func EnvelopeFlatPlane(p *Plane, noiseSigma float64) bool {
 // zero, is recomputed in scalar order). Self-products have an exactly-zero
 // imaginary part in the scalar path too (each term is p - p for the same
 // rounded product p), so they are stored as real. The result is
-// bit-identical to EstimateGains on the interleaved inputs.
+// bit-identical to one independent complex128 dot product per entry.
 func (s *GainScratch) EstimateGainsPlane(dst []complex128, mixed *Plane, refs []*Plane) []complex128 {
 	m := len(refs)
 	if m == 0 {
@@ -351,10 +322,10 @@ func (s *GainScratch) EstimateGainsPlane(dst []complex128, mixed *Plane, refs []
 	return dst
 }
 
-// CancelIntoPlane is CancelInto over planes: dst = mixed - sum_k gains[k] *
-// refs[k], with the scalar loop's per-reference, per-sample operation
-// order. dst must not alias any of the refs; it may be (and typically is)
-// a reusable buffer.
+// CancelIntoPlane subtracts gain-weighted references from mixed, dst =
+// mixed - sum_k gains[k] * refs[k], one reference at a time in sample
+// order, and returns dst. dst must not alias any of the refs; it may be
+// (and typically is) a reusable buffer.
 func CancelIntoPlane(dst, mixed *Plane, refs []*Plane, gains []complex128) *Plane {
 	n := mixed.Len()
 	if dst != mixed {
@@ -370,110 +341,6 @@ func CancelIntoPlane(dst, mixed *Plane, refs []*Plane, gains []complex128) *Plan
 			dr[i] -= sr*gr - si*gi
 			di[i] -= sr*gi + si*gr
 		}
-	}
-	return dst
-}
-
-// offsetCorrelationPlane is offsetCorrelation over planes.
-func offsetCorrelationPlane(mixed, ref *Plane, dw float64) float64 {
-	rot := Cis(dw)
-	phase := complex(1, 0)
-	n := ref.Len()
-	rr, ri := ref.Re[:n], ref.Im[:n]
-	mr, mi := mixed.Re[:n], mixed.Im[:n]
-	var dotr, doti float64
-	for k := range rr {
-		pr, pi := real(phase), imag(phase)
-		sr, si := rr[k], ri[k]
-		tr := sr*pr - si*pi
-		ti := sr*pi + si*pr
-		dotr += tr*mr[k] + ti*mi[k]
-		doti += tr*mi[k] - ti*mr[k]
-		phase *= rot
-	}
-	return cmplx.Abs(complex(dotr, doti))
-}
-
-// lsGainAtOffsetPlane is lsGainAtOffset over planes.
-func lsGainAtOffsetPlane(mixed, ref *Plane, dw float64) complex128 {
-	rot := Cis(dw)
-	phase := complex(1, 0)
-	n := ref.Len()
-	rr, ri := ref.Re[:n], ref.Im[:n]
-	mr, mi := mixed.Re[:n], mixed.Im[:n]
-	var dotr, doti, er float64
-	for k := range rr {
-		pr, pi := real(phase), imag(phase)
-		sr, si := rr[k], ri[k]
-		tr := sr*pr - si*pi
-		ti := sr*pi + si*pr
-		dotr += tr*mr[k] + ti*mi[k]
-		doti += tr*mi[k] - ti*mr[k]
-		er += tr*tr + ti*ti
-		phase *= rot
-	}
-	energy := complex(er, 0)
-	if energy == 0 {
-		return 0
-	}
-	return complex(dotr, doti) / energy
-}
-
-// EstimateGainAndOffsetPlane is EstimateGainAndOffset over planes: the
-// same coarse scan plus golden-section refinement, evaluating the plane
-// correlation kernel.
-func EstimateGainAndOffsetPlane(mixed, ref *Plane, spb int) (gain complex128, offset float64) {
-	if mixed.Len() != ref.Len() || ref.Len() == 0 {
-		return 0, 0
-	}
-	bound := maxOffsetSearch(spb)
-	step := math.Pi / (2 * float64(ref.Len()))
-	best, bestMag := 0.0, -1.0
-	for dw := -bound; dw <= bound; dw += step {
-		if mag := offsetCorrelationPlane(mixed, ref, dw); mag > bestMag {
-			bestMag, best = mag, dw
-		}
-	}
-	lo, hi := best-step, best+step
-	const phi = 0.6180339887498949
-	a, b := hi-phi*(hi-lo), lo+phi*(hi-lo)
-	fa, fb := offsetCorrelationPlane(mixed, ref, a), offsetCorrelationPlane(mixed, ref, b)
-	for i := 0; i < 40; i++ {
-		if fa < fb {
-			lo, a, fa = a, b, fb
-			b = lo + phi*(hi-lo)
-			fb = offsetCorrelationPlane(mixed, ref, b)
-		} else {
-			hi, b, fb = b, a, fa
-			a = hi - phi*(hi-lo)
-			fa = offsetCorrelationPlane(mixed, ref, a)
-		}
-	}
-	offset = (lo + hi) / 2
-	gain = lsGainAtOffsetPlane(mixed, ref, offset)
-	return gain, offset
-}
-
-// CancelWithOffsetIntoPlane is CancelWithOffsetInto over planes:
-// dst[n] = mixed[n] - gain * phase_n * ref[n] with phase_n the running
-// offset rotation. dst may be mixed itself (in-place peeling); it must not
-// alias ref.
-func CancelWithOffsetIntoPlane(dst, mixed, ref *Plane, gain complex128, offset float64) *Plane {
-	n := mixed.Len()
-	if dst != mixed {
-		dst.CopyFrom(mixed)
-	}
-	rot := Cis(offset)
-	phase := complex(1, 0)
-	dr, di := dst.Re[:n], dst.Im[:n]
-	rr, ri := ref.Re[:n], ref.Im[:n]
-	for k := range dr {
-		gp := gain * phase
-		gr, gi := real(gp), imag(gp)
-		sr, si := rr[k], ri[k]
-		dr[k] -= gr*sr - gi*si
-		di[k] -= gr*si + gi*sr
-		phase *= rot
 	}
 	return dst
 }

@@ -179,16 +179,6 @@ func TestPlaneAccumulateScaledBitIdentical(t *testing.T) {
 		}
 		p.AccumulateScaled(planeOf(ref), g)
 		requirePlaneBits(t, "accumulate", rx, &p)
-
-		// Rotated path: rx[n] += ref[n] * e^(i*dw*n) * g, left-associated.
-		dw := (2*r.Float64() - 1) * maxOffsetSearch(spb)
-		var rot Plane
-		RotationInto(&rot, dw, len(ref))
-		for n := range rx {
-			rx[n] += ref[n] * cmplx.Exp(complex(0, dw*float64(n))) * g
-		}
-		p.AccumulateScaledRotated(planeOf(ref), &rot, g)
-		requirePlaneBits(t, "accumulate-rotated", rx, &p)
 	}
 }
 
@@ -245,33 +235,6 @@ func TestAddNoiseStreamPinned(t *testing.T) {
 	}
 }
 
-func TestPlaneOffsetKernelsBitIdentical(t *testing.T) {
-	r := rng.New(46)
-	for i := 0; i < 10; i++ {
-		ref := ModulateID(tagid.Random(r), spb)
-		dw := (2*r.Float64() - 1) * maxOffsetSearch(spb)
-		g := cmplx.Rect(0.5+0.5*r.Float64(), 2*math.Pi*r.Float64())
-		mixed := AddNoise(Scale(ApplyFrequencyOffset(ref, dw), g), 0.02, r)
-		wantG, wantDW := EstimateGainAndOffset(mixed, ref, spb)
-		gotG, gotDW := EstimateGainAndOffsetPlane(planeOf(mixed), planeOf(ref), spb)
-		if !complexBitsEq(wantG, gotG) || !bitsEq(wantDW, gotDW) {
-			t.Fatalf("offset fit (%v,%v), scalar (%v,%v)", gotG, gotDW, wantG, wantDW)
-		}
-		res := CancelWithOffsetInto(nil, mixed, ref, wantG, wantDW)
-		var dst Plane
-		CancelWithOffsetIntoPlane(&dst, planeOf(mixed), planeOf(ref), gotG, gotDW)
-		requirePlaneBits(t, "offset-cancel", res, &dst)
-
-		// In-place peeling (dst aliases mixed) must match as well.
-		inPlace := planeOf(mixed)
-		CancelWithOffsetIntoPlane(inPlace, inPlace, planeOf(ref), gotG, gotDW)
-		requirePlaneBits(t, "offset-cancel-in-place", res, inPlace)
-	}
-	if g, dw := EstimateGainAndOffsetPlane(&Plane{}, &Plane{}, spb); g != 0 || dw != 0 {
-		t.Fatal("degenerate plane offset fit should return zeros")
-	}
-}
-
 func TestPlaneWaveformRoundTrip(t *testing.T) {
 	w := AddNoise(ModulateID(tagid.New(2, 3), spb), 0.1, rng.New(50))
 	p := planeOf(w)
@@ -283,15 +246,15 @@ func TestPlaneWaveformRoundTrip(t *testing.T) {
 }
 
 // FuzzBatchedSignalEquivalence synthesizes a random collision (1-3 tags,
-// random gains, optional per-tag frequency offsets, noise) with both the
-// scalar waveform path and the batched plane path, then requires every
-// kernel decision and every produced sample to agree bit-for-bit.
+// random gains, noise) with both the scalar waveform oracle and the plane
+// kernels the channel runs, then requires every kernel decision and every
+// produced sample to agree bit-for-bit.
 func FuzzBatchedSignalEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(1), false)
-	f.Add(uint64(2), uint8(2), false)
-	f.Add(uint64(3), uint8(3), true)
-	f.Add(uint64(0xdeadbeef), uint8(5), true)
-	f.Fuzz(func(t *testing.T, seed uint64, mRaw uint8, offsets bool) {
+	f.Add(uint64(1), uint8(1))
+	f.Add(uint64(2), uint8(2))
+	f.Add(uint64(3), uint8(3))
+	f.Add(uint64(0xdeadbeef), uint8(5))
+	f.Fuzz(func(t *testing.T, seed uint64, mRaw uint8) {
 		m := 1 + int(mRaw)%3
 		r := rng.New(seed)
 		rp := rng.New(seed) // plane path replays the same draw sequence
@@ -299,28 +262,19 @@ func FuzzBatchedSignalEquivalence(f *testing.F) {
 		// Scalar synthesis, mirroring channel.Signal.Observe.
 		refs := make([]Waveform, m)
 		rx := make(Waveform, 1+tagid.Bits*spb)
-		gains := make([]complex128, m)
-		dws := make([]float64, m)
 		for i := 0; i < m; i++ {
 			refs[i] = ModulateID(tagid.Random(r), spb)
-			gains[i] = cmplx.Rect(0.3+0.7*r.Float64(), 2*math.Pi*r.Float64())
-			if offsets {
-				dws[i] = (2*r.Float64() - 1) * maxOffsetSearch(spb)
-			}
+			g := cmplx.Rect(0.3+0.7*r.Float64(), 2*math.Pi*r.Float64())
 			for n := range rx {
-				if offsets {
-					rx[n] += refs[i][n] * cmplx.Exp(complex(0, dws[i]*float64(n))) * gains[i]
-				} else {
-					rx[n] += refs[i][n] * gains[i]
-				}
+				rx[n] += refs[i][n] * g
 			}
 		}
 		rx = AddNoise(rx, 0.03, r)
 
-		// Batched synthesis over planes, identical draw order. Without
-		// offsets the same sum is also accumulated through compact Refs.
+		// Batched synthesis over planes, identical draw order. The same sum
+		// is also accumulated through compact Refs, as the channel does.
 		planes := make([]*Plane, m)
-		var prx, refRx, rot Plane
+		var prx, refRx Plane
 		prx.Reset(1 + tagid.Bits*spb)
 		refRx.Reset(prx.Len())
 		for i := 0; i < m; i++ {
@@ -328,18 +282,10 @@ func FuzzBatchedSignalEquivalence(f *testing.F) {
 			planes[i] = &Plane{}
 			ModulateIDInto(planes[i], id, spb)
 			g := cmplx.Rect(0.3+0.7*rp.Float64(), 2*math.Pi*rp.Float64())
-			if offsets {
-				dw := (2*rp.Float64() - 1) * maxOffsetSearch(spb)
-				RotationInto(&rot, dw, prx.Len())
-				prx.AccumulateScaledRotated(planes[i], &rot, g)
-			} else {
-				prx.AccumulateScaled(planes[i], g)
-				refRx.AccumulateScaledRef(ModulateIDRef(id, spb), g)
-			}
+			prx.AccumulateScaled(planes[i], g)
+			refRx.AccumulateScaledRef(ModulateIDRef(id, spb), g)
 		}
-		if !offsets {
-			requirePlaneBits(t, "ref synthesis", prx.Waveform(nil), &refRx)
-		}
+		requirePlaneBits(t, "ref synthesis", prx.Waveform(nil), &refRx)
 		AddNoisePlane(&prx, 0.03, rp)
 		requirePlaneBits(t, "synthesis", rx, &prx)
 
@@ -371,17 +317,6 @@ func FuzzBatchedSignalEquivalence(f *testing.F) {
 			CancelIntoPlane(&dst, &prx, planes, gotGains)
 			requirePlaneBits(t, "cancel", res, &dst)
 		}
-
-		// Offset estimation path (iterative peeling's inner kernels).
-		wantG, wantDW := EstimateGainAndOffset(rx, refs[0], spb)
-		gotG, gotDW := EstimateGainAndOffsetPlane(&prx, planes[0], spb)
-		if !complexBitsEq(wantG, gotG) || !bitsEq(wantDW, gotDW) {
-			t.Fatalf("offset fit (%v,%v), scalar (%v,%v)", gotG, gotDW, wantG, wantDW)
-		}
-		resW := CancelWithOffsetInto(nil, rx, refs[0], wantG, wantDW)
-		var dst Plane
-		CancelWithOffsetIntoPlane(&dst, &prx, planes[0], gotG, gotDW)
-		requirePlaneBits(t, "offset-cancel", resW, &dst)
 	})
 }
 
