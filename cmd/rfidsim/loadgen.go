@@ -114,11 +114,13 @@ func lgDriveOne(c *lgClient, cfg loadgenConfig, i int, stepsRun, done *atomic.In
 		return fmt.Errorf("create: HTTP %d: %s", status, body)
 	}
 	// Mid-run churn: admit a few extra tags, drawn deterministically from
-	// a seed the initial population does not use.
+	// a seed the initial population does not use, halfway through the step
+	// budget or as soon as the session reports done, whichever comes first.
+	// A done session stepped on would run out its slot budget and fail.
 	churnAt := cfg.steps / 2
-	admitted := false
+	admitted, finished := false, false
 	for total := 0; total < cfg.steps; {
-		if !admitted && total >= churnAt {
+		if !admitted && (finished || total >= churnAt) {
 			extra := tagid.Population(rng.New(cfg.seed^0xc0ffee+uint64(i)), loadgenChurn)
 			hexIDs := make([]string, len(extra))
 			for j, t := range extra {
@@ -161,6 +163,7 @@ func lgDriveOne(c *lgClient, cfg loadgenConfig, i int, stepsRun, done *atomic.In
 			done.Add(1)
 			return nil
 		}
+		finished = resp.Done
 	}
 	return nil
 }
