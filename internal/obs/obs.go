@@ -187,8 +187,11 @@ func (k FleetKind) String() string {
 //	                              At=fleet wall-clock time
 //
 // Only dynamic workloads emit arrivals, departures and checkpoints; only
-// runs with a fault configuration emit faults, quarantines and restarts;
-// only fleet runs emit fleet activity.
+// runs with a fault configuration emit faults, restarts and the "crc" and
+// "residual" quarantines; only fleet runs emit fleet activity. MDFSA and
+// PRALOHA quarantine with reason "order" with or without faults: their
+// record store drops every collision record above the capability bound
+// M+1 at the door.
 //
 // Adding a kind costs one constant here, one payload row above, one name
 // in eventNames and one case each in JSONL.Emit and Timeline.Emit (the
