@@ -4,11 +4,7 @@
 // participating, removing the need for a separate pre-estimation phase.
 package estimate
 
-import (
-	"math"
-
-	"github.com/ancrfid/ancrfid/internal/analysis"
-)
+import "math"
 
 // ClosedForm inverts Eq. 12 of the paper:
 //
@@ -93,13 +89,6 @@ func FromEmpty(n0, f int, p float64) (est float64, ok bool) {
 		return 0, false
 	}
 	return est, true
-}
-
-// Variance re-exports the analytic single-frame relative variance of the
-// collision-count estimator so callers sizing confidence intervals need not
-// import package analysis.
-func Variance(omega float64, f int) float64 {
-	return analysis.EstimatorVariance(omega, f)
 }
 
 // Tracker maintains a weighted running mean of the per-frame estimates of

@@ -234,9 +234,3 @@ func TestTrackerWeighted(t *testing.T) {
 		t.Fatalf("non-positive weights changed the mean: %v", m)
 	}
 }
-
-func TestVarianceReexport(t *testing.T) {
-	if Variance(1.414, 30) != analysis.EstimatorVariance(1.414, 30) {
-		t.Fatal("Variance must match analysis.EstimatorVariance")
-	}
-}

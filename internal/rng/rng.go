@@ -286,13 +286,3 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 		swap(i, r.Intn(i+1))
 	}
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}

@@ -233,18 +233,6 @@ func TestSampleDistinctPanics(t *testing.T) {
 	New(1).SampleDistinct(5, 3)
 }
 
-func TestPerm(t *testing.T) {
-	r := New(14)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	r := New(15)
 	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}

@@ -63,30 +63,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the sample variance of xs (n-1 denominator).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// RMSE returns the root-mean-square error of xs against a reference value.
-func RMSE(xs []float64, ref float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - ref
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}

@@ -47,21 +47,3 @@ func TestMean(t *testing.T) {
 		t.Fatal("Mean wrong")
 	}
 }
-
-func TestVariance(t *testing.T) {
-	if Variance([]float64{5}) != 0 {
-		t.Fatal("variance of one value")
-	}
-	if got := Variance([]float64{1, 3}); got != 2 {
-		t.Fatalf("Variance = %v, want 2", got)
-	}
-}
-
-func TestRMSE(t *testing.T) {
-	if RMSE(nil, 1) != 0 {
-		t.Fatal("RMSE(nil)")
-	}
-	if got := RMSE([]float64{3, 5}, 4); got != 1 {
-		t.Fatalf("RMSE = %v, want 1", got)
-	}
-}
