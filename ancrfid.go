@@ -404,15 +404,16 @@ type (
 	// SessionCheckpoint is an opaque deep copy of a session's state.
 	SessionCheckpoint = protocol.Checkpoint
 	// WorkloadConfig is a dynamic-population schedule: Poisson or burst
-	// arrivals, fixed or exponential dwell, optional periodic checkpoints.
+	// arrivals, fixed or exponential dwell.
 	WorkloadConfig = workload.Config
-	// WorkloadReport is the outcome of one dynamic run, with per-tag
-	// lifecycle records and total population accounting.
-	WorkloadReport = workload.Report
 	// TagRecord is the lifecycle of one tag through a dynamic run.
 	TagRecord = workload.TagRecord
-	// DynamicSimConfig describes a dynamic-population Monte-Carlo campaign.
+	// DynamicSimConfig describes a dynamic-population Monte-Carlo campaign,
+	// optionally fault-injected through its embedded SimConfig.Faults.
 	DynamicSimConfig = sim.DynamicConfig
+	// DynamicReport is the audited outcome of one dynamic run, with per-tag
+	// lifecycle records, total population accounting and fault tallies.
+	DynamicReport = sim.DynamicReport
 	// DynamicSimResult aggregates a dynamic campaign.
 	DynamicSimResult = sim.DynamicResult
 )
@@ -428,31 +429,19 @@ func AsSession(p Protocol) (SessionProtocol, bool) {
 	return sp, ok
 }
 
-// ErrDynamicFaults is returned by RunDynamic and RunDynamicOnce when the
-// campaign configures fault injection; RunChaos is the fault-injected
-// dynamic path.
-var ErrDynamicFaults = sim.ErrDynamicFaults
-
 // RunDynamic executes a dynamic-population Monte-Carlo campaign: each run
-// drives a session of p under cfg.Workload's arrival/departure schedule.
+// drives a session of p under cfg.Workload's arrival/departure schedule,
+// injecting cfg.Faults (crash-restart recovery included) when set, and
+// audits it against the inventory invariants (no duplicate
+// identifications, no phantom IDs, exact population accounting).
 // Workers > 1 parallelises with the same ordered-merge determinism as Run.
-// It fails with ErrDynamicFaults when cfg.Faults enables fault injection.
 func RunDynamic(p SessionProtocol, cfg DynamicSimConfig) (DynamicSimResult, error) {
 	return sim.RunDynamic(p, cfg)
 }
 
 // RunDynamicOnce executes a single deterministic dynamic run.
-func RunDynamicOnce(p SessionProtocol, cfg DynamicSimConfig, run int) (WorkloadReport, error) {
+func RunDynamicOnce(p SessionProtocol, cfg DynamicSimConfig, run int) (DynamicReport, error) {
 	return sim.RunDynamicOnce(p, cfg, run)
-}
-
-// RunWorkload drives one session of p over env's initial population with
-// the dynamic schedule cfg; wl supplies the workload's own random stream
-// (arrival times, burst IDs, dwell draws), independent of env.RNG. It is
-// the driver behind RunDynamic and RunChaos, with faults off; a caller's
-// env.OnIdentified still fires.
-func RunWorkload(p SessionProtocol, env *Env, wl *RNG, cfg WorkloadConfig) (WorkloadReport, error) {
-	return sim.RunWorkload(p, env, wl, cfg)
 }
 
 // ConveyorWorkload is a single-item belt: tags arrive at rate tags/s and
@@ -573,8 +562,8 @@ func NewSignalChannel(cfg SignalChannelConfig, r *RNG) Channel {
 }
 
 // Deterministic fault injection and chaos testing. FaultConfig (set on
-// SimConfig.Faults, DynamicSimConfig.Faults via the embedded SimConfig, or
-// ChaosConfig) enables seed-split fault injection: Gilbert-Elliott burst
+// SimConfig.Faults, or DynamicSimConfig.Faults via the embedded SimConfig)
+// enables seed-split fault injection: Gilbert-Elliott burst
 // noise, acknowledgement loss, tag mute/stuck-responder failures, decode
 // corruption and reader crash-restart. Every fault decision is a pure
 // function of (Seed, run index), independent of how many random draws the
@@ -591,14 +580,6 @@ type (
 	FaultInjector = fault.Injector
 	// FaultChannel is a channel wrapped with fault injection.
 	FaultChannel = fault.Channel
-	// ChaosConfig describes a chaos campaign: faults plus a dynamic
-	// workload plus crash-recovery checkpointing.
-	ChaosConfig = sim.ChaosConfig
-	// ChaosReport is the audited outcome of one chaos run.
-	ChaosReport = sim.ChaosReport
-	// ChaosResult aggregates a chaos campaign.
-	ChaosResult = sim.ChaosResult
-
 	// FaultKind labels an injected fault (the Sub field of a
 	// TraceFaultInjected event).
 	FaultKind = obs.FaultKind
@@ -635,19 +616,6 @@ func NewFaultInjector(cfg FaultConfig, seed uint64, run int) *FaultInjector {
 // Env.Channel and the injector as Env.Faults.
 func WrapFaultChannel(ch Channel, inj *FaultInjector) *FaultChannel {
 	return fault.WrapChannel(ch, inj)
-}
-
-// RunChaos executes a chaos campaign: fault-injected dynamic runs with
-// crash-restart recovery, audited against the inventory invariants (no
-// duplicate identifications, no phantom IDs, exact population accounting).
-// Workers > 1 parallelises with the same ordered-merge determinism as Run.
-func RunChaos(p SessionProtocol, cfg ChaosConfig) (ChaosResult, error) {
-	return sim.RunChaos(p, cfg)
-}
-
-// RunChaosOnce executes a single deterministic chaos run.
-func RunChaosOnce(p SessionProtocol, cfg ChaosConfig, run int) (ChaosReport, error) {
-	return sim.RunChaosOnce(p, cfg, run)
 }
 
 // OptimalOmega returns (lambda!)^(1/lambda), the report-probability

@@ -115,8 +115,7 @@ func run(args []string) error {
 		faultMute      = fs.Float64("fault-mute", 0, "fault injection: probability a tag is mute (never transmits)")
 		faultStuck     = fs.Float64("fault-stuck", 0, "fault injection: probability a tag is a stuck responder (transmits out of protocol)")
 		faultCorrupt   = fs.Float64("fault-corrupt", 0, "fault injection: probability a slot's read or decode is corrupted (caught by CRC quarantine)")
-		faultCrash     = fs.Int("fault-crash-every", 0, "fault injection: crash and restart the reader every N slots (chaos mode)")
-		chaos          = fs.Bool("chaos", false, "chaos mode: fault-injected dynamic run with crash-restart recovery and invariant auditing")
+		faultCrash     = fs.Int("fault-crash-every", 0, "fault injection: crash and restart the reader every N slots (continuous inventory)")
 		sweepSeverity  = fs.Int("sweep-severity", 0, "sweep fault severity (ack loss + burst duty) over N+1 points for SCAT and FCAT, print a degradation table")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -203,12 +202,6 @@ func run(args []string) error {
 		CrashEvery:       *faultCrash,
 	}
 	fleetMode := *readers > 1 || *zones > 1 || *migrate > 0 || *policyName != "none"
-	dynamicMode := *arrivalRate > 0 || *departureRate > 0 || *duration > 0
-	if cfg.Faults.Enabled() && dynamicMode && !*chaos && !fleetMode && *sweepSeverity == 0 {
-		// The continuous-inventory driver runs no fault channel; chaos mode
-		// is the fault-injected dynamic run.
-		return fmt.Errorf("-fault-* flags with -arrival-rate, -departure-rate or -duration need -chaos")
-	}
 	if *sweepSeverity > 0 {
 		// The sweep attaches its own per-point health monitors and no
 		// campaign observers, so these outputs would silently stay empty.
@@ -453,23 +446,7 @@ func run(args []string) error {
 		return flushOutputs()
 	}
 
-	if *chaos {
-		horizon := *duration
-		if horizon <= 0 {
-			horizon = 10 * time.Second
-		}
-		wl := ancrfid.WorkloadConfig{
-			Duration:      horizon,
-			ArrivalRate:   *arrivalRate,
-			DepartureRate: *departureRate,
-		}
-		if err := runChaos(p, cfg, wl, *chanKind); err != nil {
-			return err
-		}
-		return flushOutputs()
-	}
-
-	if dynamicMode {
+	if *arrivalRate > 0 || *departureRate > 0 || *duration > 0 {
 		horizon := *duration
 		if horizon <= 0 {
 			horizon = 10 * time.Second
@@ -506,85 +483,6 @@ func run(args []string) error {
 	fmt.Printf("reference       ALOHA bound %.1f tags/s, ANC bound (lambda=%d) %.1f tags/s\n",
 		ancrfid.AlohaBound(tm), lam, ancrfid.ANCBound(tm, lam))
 	return nil
-}
-
-// runChaos executes the chaos mode: fault-injected dynamic runs with
-// crash-restart recovery. Runs execute sequentially so a failing run can
-// print its partial report; every run's invariant audit is summarized.
-func runChaos(p ancrfid.Protocol, cfg ancrfid.SimConfig, wl ancrfid.WorkloadConfig, chanKind string) error {
-	sp, ok := ancrfid.AsSession(p)
-	if !ok {
-		return fmt.Errorf("protocol %s does not support chaos mode", p.Name())
-	}
-	ccfg := ancrfid.ChaosConfig{Config: cfg, Workload: wl}
-
-	fmt.Printf("protocol        %s (chaos mode)\n", p.Name())
-	fmt.Printf("workload        arrivals %.1f/s, departure hazard %.2f/s, horizon %v\n",
-		wl.ArrivalRate, wl.DepartureRate, wl.Duration)
-	fmt.Printf("population      %d initial tags, %d runs, seed %d, channel %s\n",
-		cfg.Tags, cfg.Runs, cfg.Seed, chanKind)
-	f := cfg.Faults
-	fmt.Printf("faults          ack-loss %.2f, burst duty %.2f, mute %.2f, stuck %.2f, corrupt %.2f, crash every %d slots\n",
-		f.AckLoss, f.Burst.Duty, f.MuteProb, f.StuckProb, f.CorruptDecode, f.CrashEvery)
-
-	var (
-		reports  []ancrfid.ChaosReport
-		firstErr error
-	)
-	for i := 0; i < cfg.Runs; i++ {
-		rep, err := ancrfid.RunChaosOnce(sp, ccfg, i)
-		if cfg.Progress != nil {
-			cfg.Progress(i, rep.Metrics, err)
-		}
-		reports = append(reports, rep)
-		if err != nil {
-			// Print the partial report alongside the error rather than
-			// discarding the run's accounting.
-			fmt.Printf("run %d FAILED after %v: %v\n", i, rep.Duration.Round(time.Millisecond), err)
-			firstErr = fmt.Errorf("%s chaos run %d: %w", p.Name(), i, err)
-			break
-		}
-	}
-
-	if len(reports) == 0 {
-		return firstErr
-	}
-	var adm, idf, missed, active, tp, crashes, cps, faults, quar, stalls, score float64
-	phantoms, dups, unaccounted := 0, 0, 0
-	for i := range reports {
-		rep := &reports[i]
-		adm += float64(rep.Admitted)
-		idf += float64(rep.Identified)
-		missed += float64(rep.DepartedUnread)
-		active += float64(rep.ActiveUnread)
-		if rep.Duration > 0 {
-			tp += float64(rep.Identified) / rep.Duration.Seconds()
-		}
-		crashes += float64(rep.Crashes)
-		cps += float64(rep.Checkpoints)
-		faults += float64(rep.FaultsInjected)
-		quar += float64(rep.Quarantined)
-		stalls += float64(rep.Stalls)
-		score += rep.HealthScore
-		phantoms += rep.Phantoms
-		dups += rep.DupIdents
-		if !rep.Accounted() {
-			unaccounted++
-		}
-	}
-	n := float64(len(reports))
-	fmt.Printf("accounting      admitted %.1f = identified %.1f + missed %.1f + still-active %.1f (run means)\n",
-		adm/n, idf/n, missed/n, active/n)
-	fmt.Printf("chaos           crashes %.1f, checkpoints %.1f, faults injected %.1f, records quarantined %.1f (run means)\n",
-		crashes/n, cps/n, faults/n, quar/n)
-	fmt.Printf("health          score %.1f/100, stall episodes %.1f (run means)\n", score/n, stalls/n)
-	fmt.Printf("invariants      phantom IDs %d, duplicate identifications %d, accounting violations %d (totals over %d runs)\n",
-		phantoms, dups, unaccounted, len(reports))
-	fmt.Printf("throughput      %.1f tags/s identified\n", tp/n)
-	if firstErr == nil && (phantoms > 0 || dups > 0 || unaccounted > 0) {
-		firstErr = fmt.Errorf("%s chaos campaign violated inventory invariants", p.Name())
-	}
-	return firstErr
 }
 
 // runSeveritySweep prints a throughput-versus-fault-severity table for SCAT
@@ -747,9 +645,10 @@ func runFleet(p ancrfid.Protocol, cfg ancrfid.SimConfig, topo ancrfid.FleetTopol
 }
 
 // runDynamic executes the continuous-inventory mode: each run drives a
-// protocol session under the dynamic workload. Runs execute sequentially
-// so a failing run (e.g. ErrNoProgress) can still print its partial
-// report instead of discarding the metrics.
+// protocol session under the dynamic workload, injecting the -fault-*
+// faults when any are set. Runs execute sequentially so a failing run
+// (e.g. ErrNoProgress) can still print its partial report instead of
+// discarding the metrics; every run's invariant audit is summarized.
 func runDynamic(p ancrfid.Protocol, cfg ancrfid.SimConfig, wl ancrfid.WorkloadConfig, chanKind string) error {
 	sp, ok := ancrfid.AsSession(p)
 	if !ok {
@@ -762,9 +661,13 @@ func runDynamic(p ancrfid.Protocol, cfg ancrfid.SimConfig, wl ancrfid.WorkloadCo
 		wl.ArrivalRate, wl.DepartureRate, wl.Duration)
 	fmt.Printf("population      %d initial tags, %d runs, seed %d, channel %s\n",
 		cfg.Tags, cfg.Runs, cfg.Seed, chanKind)
+	if f := cfg.Faults; f.Enabled() {
+		fmt.Printf("faults          ack-loss %.2f, burst duty %.2f, mute %.2f, stuck %.2f, corrupt %.2f, crash every %d slots\n",
+			f.AckLoss, f.Burst.Duty, f.MuteProb, f.StuckProb, f.CorruptDecode, f.CrashEvery)
+	}
 
 	var (
-		reports  []ancrfid.WorkloadReport
+		reports  []ancrfid.DynamicReport
 		firstErr error
 	)
 	for i := 0; i < cfg.Runs; i++ {
@@ -775,7 +678,7 @@ func runDynamic(p ancrfid.Protocol, cfg ancrfid.SimConfig, wl ancrfid.WorkloadCo
 		reports = append(reports, rep)
 		if err != nil {
 			// Print the partial report alongside the error rather than
-			// discarding the run's metrics.
+			// discarding the run's accounting.
 			fmt.Printf("run %d FAILED after %v: %v\n", i, rep.Duration.Round(time.Millisecond), err)
 			firstErr = fmt.Errorf("%s dynamic run %d: %w", p.Name(), i, err)
 			break
@@ -785,7 +688,8 @@ func runDynamic(p ancrfid.Protocol, cfg ancrfid.SimConfig, wl ancrfid.WorkloadCo
 	if len(reports) == 0 {
 		return firstErr
 	}
-	var adm, idf, missed, active, tp float64
+	var adm, idf, missed, active, tp, crashes, cps, faults, quar, stalls, score float64
+	phantoms, dups, unaccounted := 0, 0, 0
 	var lat []time.Duration
 	for i := range reports {
 		rep := &reports[i]
@@ -796,17 +700,36 @@ func runDynamic(p ancrfid.Protocol, cfg ancrfid.SimConfig, wl ancrfid.WorkloadCo
 		if rep.Duration > 0 {
 			tp += float64(rep.Identified) / rep.Duration.Seconds()
 		}
+		crashes += float64(rep.Crashes)
+		cps += float64(rep.Checkpoints)
+		faults += float64(rep.FaultsInjected)
+		quar += float64(rep.Quarantined)
+		stalls += float64(rep.Stalls)
+		score += rep.HealthScore
+		phantoms += rep.Phantoms
+		dups += rep.DupIdents
+		if !rep.Accounted() {
+			unaccounted++
+		}
 		lat = append(lat, rep.Latencies()...)
 	}
 	n := float64(len(reports))
 	fmt.Printf("accounting      admitted %.1f = identified %.1f + missed %.1f + still-active %.1f (run means)\n",
 		adm/n, idf/n, missed/n, active/n)
+	fmt.Printf("recovery        crashes %.1f, checkpoints %.1f, faults injected %.1f, records quarantined %.1f (run means)\n",
+		crashes/n, cps/n, faults/n, quar/n)
+	fmt.Printf("health          score %.1f/100, stall episodes %.1f (run means)\n", score/n, stalls/n)
+	fmt.Printf("invariants      phantom IDs %d, duplicate identifications %d, accounting violations %d (totals over %d runs)\n",
+		phantoms, dups, unaccounted, len(reports))
 	fmt.Printf("throughput      %.1f tags/s identified\n", tp/n)
 	if len(lat) > 0 {
 		fmt.Printf("latency         p50 %v, p90 %v, p99 %v (arrival to identification)\n",
 			ancrfid.LatencyPercentile(lat, 50).Round(time.Millisecond),
 			ancrfid.LatencyPercentile(lat, 90).Round(time.Millisecond),
 			ancrfid.LatencyPercentile(lat, 99).Round(time.Millisecond))
+	}
+	if firstErr == nil && (phantoms > 0 || dups > 0 || unaccounted > 0) {
+		firstErr = fmt.Errorf("%s dynamic campaign violated inventory invariants", p.Name())
 	}
 	return firstErr
 }

@@ -2,9 +2,7 @@ package ancrfid_test
 
 import (
 	"math/cmplx"
-	"reflect"
 	"testing"
-	"time"
 
 	"github.com/ancrfid/ancrfid"
 )
@@ -162,44 +160,5 @@ func TestGen2TimingFacade(t *testing.T) {
 	}
 	if res.Throughput.Mean < 2*ancrfid.AlohaBound(icode) {
 		t.Fatalf("Gen2 FCAT throughput %v too low", res.Throughput.Mean)
-	}
-}
-
-// TestRunWorkloadFacade drives RunWorkload over an Env built the way
-// RunDynamicOnce builds run 0's: the report must be RunDynamicOnce's, and a
-// caller's OnIdentified must still see every identification.
-func TestRunWorkloadFacade(t *testing.T) {
-	sp, _ := ancrfid.AsSession(ancrfid.NewFCAT(2))
-	cfg := ancrfid.DynamicSimConfig{
-		Config:   ancrfid.SimConfig{Tags: 12, Runs: 1, Seed: 9, PAckLoss: 0.05},
-		Workload: ancrfid.PortalWorkload(3, 10, 300*time.Millisecond, time.Second),
-	}
-	want, err := ancrfid.RunDynamicOnce(sp, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := ancrfid.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15) // run 0's generator
-	tags := ancrfid.Population(r, cfg.Tags)
-	wl := r.Split()
-	env := &ancrfid.Env{
-		RNG:      r,
-		Tags:     tags,
-		Channel:  ancrfid.NewAbstractChannel(ancrfid.AbstractChannelConfig{Lambda: 2}, r),
-		Timing:   ancrfid.ICodeTiming(),
-		TxModel:  ancrfid.TxBinomial,
-		PAckLoss: cfg.PAckLoss,
-	}
-	var seen int
-	env.OnIdentified = func(ancrfid.TagID, bool) { seen++ }
-	got, err := ancrfid.RunWorkload(sp, env, wl, cfg.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RunWorkload report differs from RunDynamicOnce's:\ngot  %+v\nwant %+v", got.Metrics, want.Metrics)
-	}
-	if seen != got.Identified || seen == 0 {
-		t.Errorf("caller's OnIdentified fired %d times for %d identifications", seen, got.Identified)
 	}
 }

@@ -18,9 +18,9 @@
 //   - Silent decode corruption: a cascade decode that passes the channel
 //     but yields a bit-flipped ID, exercising the reader's CRC defenses
 //     (record.Store quarantine).
-//   - Reader crash/restart: a slot-boundary schedule consumed by the chaos
-//     harness (sim.RunChaos), which rewinds the session through the
-//     Snapshot/Restore machinery.
+//   - Reader crash/restart: a slot-boundary schedule consumed by the
+//     dynamic driver (sim.RunDynamic), which rewinds the session through
+//     the Snapshot/Restore machinery.
 //
 // Determinism and rewind safety. Every per-slot and per-tag decision is a
 // hash of (salt, fault stream, position) — no sequential RNG consumption —

@@ -308,7 +308,7 @@ func zoneRNG(seed uint64, run, zone int) *rng.Source {
 
 // Run executes one fleet run of p with the deterministic generators
 // derived from (cfg.Seed, run). On error the partially accumulated Report
-// is still returned, like sim.RunWorkload.
+// is still returned, like sim.RunDynamicOnce.
 func Run(p protocol.SessionProtocol, cfg Config, run int) (Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.MigrationRate > 0 && cfg.Horizon <= 0 {
@@ -371,7 +371,7 @@ func (f *fleetRun) setup() {
 		}
 		if env.MaxSlots == 0 && cfg.Horizon > 0 {
 			// The batch budget does not scale with the horizon; budget like
-			// the dynamic driver (sim.RunWorkload) does.
+			// the dynamic driver (sim.RunDynamic) does.
 			env.MaxSlots = int(4*cfg.Horizon/cfg.Timing.Slot()) + 10000
 		}
 		if cfg.Tracer != nil {

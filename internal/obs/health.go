@@ -110,7 +110,7 @@ type HealthSnapshot struct {
 // without progress), a quarantine-rate detector and a run-failure count fold
 // into a 0-100 score. Transitions surface as typed HealthEvents through the
 // OnEvent callback (invoked inline, in event order); the current state is
-// available at any time via Snapshot, which sim.RunChaos folds into its
+// available at any time via Snapshot, which sim.RunDynamic folds into its
 // reports and rfidsim serves at /healthz.
 //
 // All state is behind a mutex, so a monitor may be shared across the

@@ -1,13 +1,21 @@
 // Dynamic-population campaigns: the Monte-Carlo harness over the one
 // dynamic driver (driveWorkload) instead of the batch Run, with the same
 // per-run seed derivation and the same ordered-merge determinism contract
-// as the static path (see docs/parallelism.md). RunDynamic is RunChaos
-// without faults: the same precomputed workload script, delivered by the
-// same loop, with simulated-time snapshots instead of crash-recovery marks.
+// as the static path (see docs/parallelism.md).
+//
+// Config.Faults, when set, runs the session through a fault channel. The
+// whole schedule — arrivals, departures AND faults — is a pure function of
+// (seed, run), so a reader crash can rewind the session to its last
+// crash-recovery mark and the replayed slots face the identical world.
+//
+// The driver also audits the invariants the robustness work promises
+// (docs/robustness.md): no tag identified twice, no phantom IDs, and exact
+// population accounting at the horizon. Violations are tallied in the
+// DynamicReport rather than panicking, so the chaos suite can assert them
+// and a CLI user can see them.
 package sim
 
 import (
-	"errors"
 	"time"
 
 	"github.com/ancrfid/ancrfid/internal/fault"
@@ -19,11 +27,9 @@ import (
 	"github.com/ancrfid/ancrfid/internal/workload"
 )
 
-// ErrDynamicFaults is returned by RunDynamic and RunDynamicOnce when
-// Config.Faults enables fault injection. A dynamic run wraps no fault
-// channel, so the faults would be silently dropped; RunChaos is the
-// fault-injected dynamic path.
-var ErrDynamicFaults = errors.New("sim: dynamic runs do not inject faults; use RunChaos")
+// defaultCheckpointEvery is the default crash-recovery mark cadence of a
+// dynamic run, in executed slots.
+const defaultCheckpointEvery = 32
 
 // DynamicConfig describes a dynamic-population campaign: the campaign
 // knobs of Config plus a workload schedule. Config.Tags is the initial
@@ -32,20 +38,104 @@ var ErrDynamicFaults = errors.New("sim: dynamic runs do not inject faults; use R
 type DynamicConfig struct {
 	// Config carries the campaign knobs (Runs, Seed, Workers, channel,
 	// timing, tracing); Config.MaxSlots 0 lets the dynamic driver budget
-	// by horizon instead of by initial population.
+	// by horizon instead of by initial population. Config.Faults selects
+	// the fault shapes (the zero value injects none).
 	Config
 	// Workload is the arrival/departure schedule of every run. Each run
 	// draws its schedule from a dedicated generator derived from
 	// (Seed, run), so schedules are deterministic and independent of the
 	// protocol's own draws.
 	Workload workload.Config
+	// CheckpointEvery is the crash-recovery mark cadence in executed slots
+	// (default 32). Marks are taken only when Config.Faults.CrashEvery is
+	// positive, which is then raised to at least twice this cadence, so
+	// every crash cycle makes net forward progress.
+	CheckpointEvery int
+}
+
+func (c DynamicConfig) withDefaults() DynamicConfig {
+	c.Config = c.Config.withDefaults()
+	if c.CheckpointEvery <= 0 {
+		c.CheckpointEvery = defaultCheckpointEvery
+	}
+	if c.Faults.CrashEvery > 0 && c.Faults.CrashEvery < 2*c.CheckpointEvery {
+		c.Faults.CrashEvery = 2 * c.CheckpointEvery
+	}
+	return c
+}
+
+// DynamicReport is the audited outcome of one dynamic run.
+type DynamicReport struct {
+	Protocol string
+	// Metrics are the session's protocol metrics at cutoff (Tags counts
+	// every tag ever admitted). Under crashes they reflect the surviving
+	// timeline (rolled-back slots are not counted twice — the session state
+	// itself was rewound).
+	Metrics protocol.Metrics
+	// Tags holds one lifecycle record per admitted tag, in admission order.
+	Tags []workload.TagRecord
+
+	// Admitted == Identified + DepartedUnread + ActiveUnread is the exact
+	// accounting invariant: every tag that entered the field (initial
+	// population included) was collected before cutoff, left unread (a
+	// missed read), or is still in the field unread at cutoff.
+	Admitted       int
+	Identified     int
+	DepartedUnread int
+	ActiveUnread   int
+
+	// DupIdents counts tags the session reported identified twice within
+	// one crash-free stretch; Phantoms counts reported IDs that were never
+	// admitted. Both must be zero — they are the hard invariants the
+	// record-store defenses exist for.
+	DupIdents int
+	Phantoms  int
+
+	// Crashes counts reader crash-restarts; Checkpoints the recovery marks
+	// taken; WallSteps the total executed slots including rolled-back work.
+	Crashes     int
+	Checkpoints int
+	WallSteps   uint64
+
+	// FaultsInjected and Quarantined tally the run's FaultInjected and
+	// RecordQuarantined events (rolled-back work included: the trace is the
+	// honest wall-clock history, not the surviving timeline).
+	FaultsInjected int
+	Quarantined    int
+
+	// Stalls counts stall episodes the health monitor flagged (stretches of
+	// non-empty slots with no new identification; see obs.HealthMonitor),
+	// and HealthScore is the monitor's final 0-100 degradation score.
+	Stalls      int
+	HealthScore float64
+
+	// Duration is the simulated air time of the surviving timeline (>= the
+	// configured horizon unless the run errored).
+	Duration time.Duration
+}
+
+// Accounted reports whether the exact-accounting invariant holds.
+func (r *DynamicReport) Accounted() bool {
+	return r.Admitted == r.Identified+r.DepartedUnread+r.ActiveUnread
+}
+
+// Latencies returns the identification latencies of all identified tags,
+// in admission order.
+func (r *DynamicReport) Latencies() []time.Duration {
+	out := make([]time.Duration, 0, r.Identified)
+	for _, t := range r.Tags {
+		if t.Identified {
+			out = append(out, t.Latency())
+		}
+	}
+	return out
 }
 
 // DynamicResult aggregates a dynamic campaign.
 type DynamicResult struct {
 	Protocol string
-	// Runs holds one workload report per run, in run order.
-	Runs []workload.Report
+	// Runs holds one report per run, in run order.
+	Runs []DynamicReport
 
 	// Admitted, Identified, DepartedUnread and ActiveUnread summarise the
 	// per-run population accounting.
@@ -60,25 +150,29 @@ type DynamicResult struct {
 	LatencyP50 stats.Summary
 	LatencyP90 stats.Summary
 	LatencyP99 stats.Summary
+	// Crashes, FaultsInjected, Quarantined, Stalls and HealthScore
+	// summarise the per-run fault and health tallies.
+	Crashes        stats.Summary
+	FaultsInjected stats.Summary
+	Quarantined    stats.Summary
+	Stalls         stats.Summary
+	HealthScore    stats.Summary
 }
 
 // RunDynamic executes the dynamic campaign for one session protocol. With
 // cfg.Workers > 1 the runs execute on a bounded worker pool with the
 // static campaign's merge discipline: outcomes land in run order, traces
 // are buffered and replayed in run order, and the first error reported is
-// the lowest-indexed failing run's. Unlike the static path, a failing run
-// still contributes its partial report to the error return's context —
-// but the campaign result is withheld, exactly like Run.
+// the lowest-indexed failing run's; the campaign result is then withheld,
+// exactly like Run (RunDynamicOnce hands back a failing run's partial
+// report).
 func RunDynamic(p protocol.SessionProtocol, cfg DynamicConfig) (DynamicResult, error) {
-	if cfg.Faults.Enabled() {
-		return DynamicResult{}, ErrDynamicFaults
-	}
-	cfg.Config = cfg.Config.withDefaults()
-	runs, err := campaign(p, cfg.Config, func(run int, c Config, _ *runScratch) (workload.Report, error) {
+	cfg = cfg.withDefaults()
+	runs, err := campaign(p, cfg.Config, func(run int, c Config, _ *runScratch) (DynamicReport, error) {
 		dc := cfg
 		dc.Config = c
 		return RunDynamicOnce(p, dc, run)
-	}, func(rep *workload.Report) protocol.Metrics { return rep.Metrics })
+	}, func(rep *DynamicReport) protocol.Metrics { return rep.Metrics })
 	if err != nil {
 		return DynamicResult{}, err
 	}
@@ -90,37 +184,47 @@ func RunDynamic(p protocol.SessionProtocol, cfg DynamicConfig) (DynamicResult, e
 // RunDynamicOnce executes a single dynamic run with the deterministic
 // generators derived from (cfg.Seed, run): the protocol draws from the run
 // generator exactly as a batch run would, and the workload schedule draws
-// from a Split-off child stream.
-func RunDynamicOnce(p protocol.SessionProtocol, cfg DynamicConfig, run int) (workload.Report, error) {
-	if cfg.Faults.Enabled() {
-		return workload.Report{}, ErrDynamicFaults
-	}
-	cfg.Config = cfg.Config.withDefaults()
+// from a Split-off child stream. Config.Faults, when set, wraps the
+// channel in a fault channel; a run-local audit and health monitor fill
+// the report's fault and health fields. On error (e.g.
+// protocol.ErrNoProgress) the partially accumulated report is still
+// returned.
+func RunDynamicOnce(p protocol.SessionProtocol, cfg DynamicConfig, run int) (DynamicReport, error) {
+	cfg = cfg.withDefaults()
 	env, wl := cfg.dynamicEnv(run)
-	return RunWorkload(p, env, wl, cfg.Workload)
-}
 
-// RunWorkload drives one session of p over env's initial population with
-// the dynamic schedule cfg, drawn from wl (a stream independent of env.RNG;
-// see package workload). It is RunChaos's driver with faults off: the
-// session steps until its air clock passes cfg.Duration, and arrivals,
-// departures and cfg.CheckpointEvery's simulated-time snapshots due at or
-// before the current air time are delivered between steps. A caller's
-// env.OnIdentified still fires. On error (e.g. protocol.ErrNoProgress) the
-// partially accumulated Report is still returned.
-func RunWorkload(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source, cfg workload.Config) (workload.Report, error) {
-	rep, err := driveWorkload(p, env, wl, cfg, 0, nil)
-	return workload.Report{
-		Protocol:       rep.Protocol,
-		Metrics:        rep.Metrics,
-		Tags:           rep.Tags,
-		Admitted:       rep.Admitted,
-		Identified:     rep.Identified,
-		DepartedUnread: rep.DepartedUnread,
-		ActiveUnread:   rep.ActiveUnread,
-		Checkpoints:    rep.Checkpoints,
-		Duration:       rep.Duration,
-	}, err
+	// The run-local audit tracer tallies fault activity into the report; it
+	// sees events in emission order regardless of worker count because it
+	// lives inside the run.
+	var faults, quarantined int
+	audit := obs.Func(func(ev obs.Event) {
+		switch ev.Kind {
+		case obs.FaultInjected:
+			faults++
+		case obs.RecordQuarantined:
+			quarantined++
+		}
+	})
+	// The health monitor rides the same in-run event stream as the audit;
+	// its final score and stall count land in the report.
+	health := obs.NewHealthMonitor(obs.HealthConfig{})
+	env.Tracer = obs.Multi(audit, health, env.Tracer)
+
+	var fch *fault.Channel
+	if cfg.Faults.Enabled() {
+		env.Faults = fault.New(cfg.Faults, cfg.Seed, run)
+		fch = fault.WrapChannel(env.Channel, env.Faults)
+		fch.Tracer = env.Tracer
+		fch.AdmitAll(env.Tags)
+		env.Channel = fch
+	}
+
+	rep, err := driveWorkload(p, env, wl, cfg.Workload, cfg.CheckpointEvery, fch)
+	rep.FaultsInjected = faults
+	rep.Quarantined = quarantined
+	rep.Stalls = health.Stalls()
+	rep.HealthScore = health.Score()
+	return rep, err
 }
 
 // dynamicEnv builds the environment of one dynamic run and the workload
@@ -157,24 +261,22 @@ type rollbackMark struct {
 	tags       []workload.TagRecord
 }
 
-// driveWorkload is the one dynamic driver, behind RunWorkload, RunDynamic
-// and RunChaos. It opens a session of p over env's initial population and
-// delivers the workload.Schedule drawn from wl and cfg between steps until
-// the air clock passes cfg.Duration. Identifications are stamped with the
-// post-step clock, so latency is measured at slot granularity; IDs that
-// were never admitted (or not yet) count as phantoms and repeats within
-// one crash-free stretch as duplicates. A caller's env.OnIdentified is
-// chained.
+// driveWorkload is the one dynamic driver, behind RunDynamicOnce. It opens
+// a session of p over env's initial population and delivers the
+// workload.Schedule drawn from wl and cfg between steps until the air clock
+// passes cfg.Duration. Identifications are stamped with the post-step
+// clock, so latency is measured at slot granularity; IDs that were never
+// admitted (or not yet) count as phantoms and repeats within one
+// crash-free stretch as duplicates.
 //
-// Two checkpoint cadences may be set. cfg.CheckpointEvery, in simulated
-// time, takes snapshots that are counted and discarded; one that fails is
-// skipped. markEvery, in executed slots, takes the crash-recovery marks,
-// the first before the first step; one that fails ends the run. When
-// env.Faults crashes the reader, session and driver rewind to the last
-// mark. fch, when non-nil, is the fault channel that follows admissions
-// and departures. On error the partial report is returned.
+// When env.Faults can crash the reader, a crash-recovery mark is taken
+// every markEvery executed slots, the first before the first step; one
+// that fails ends the run. A crash rewinds session and driver to the last
+// mark. Without crashes no mark is taken, since none could be restored.
+// fch, when non-nil, is the fault channel that follows admissions and
+// departures. On error the partial report is returned.
 func driveWorkload(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source, cfg workload.Config,
-	markEvery int, fch *fault.Channel) (ChaosReport, error) {
+	markEvery int, fch *fault.Channel) (DynamicReport, error) {
 	if env.MaxSlots == 0 {
 		// The batch default (200N + 10k) does not scale with the horizon;
 		// budget four slot-times per unit of simulated time plus headroom.
@@ -187,15 +289,9 @@ func driveWorkload(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source
 	}
 
 	var pendingIdent []tagid.ID
-	prevIdent := env.OnIdentified
-	env.OnIdentified = func(id tagid.ID, viaResolution bool) {
-		if prevIdent != nil {
-			prevIdent(id, viaResolution)
-		}
-		pendingIdent = append(pendingIdent, id)
-	}
+	env.OnIdentified = func(id tagid.ID, _ bool) { pendingIdent = append(pendingIdent, id) }
 
-	rep := ChaosReport{Protocol: p.Name()}
+	rep := DynamicReport{Protocol: p.Name()}
 	// The initial population enters through env.Tags (Begin reads it), so
 	// only its lifecycle records are kept here.
 	arrCur := len(env.Tags)
@@ -207,20 +303,13 @@ func driveWorkload(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source
 	s := p.Begin(env)
 
 	var (
-		depCur   int
-		wall     uint64
-		mark     rollbackMark
-		runErr   error
-		nextSnap = cfg.CheckpointEvery
+		depCur int
+		wall   uint64
+		mark   rollbackMark
+		runErr error
 	)
-	snapshot := func(now time.Duration) (protocol.Checkpoint, error) {
-		cp, err := s.Snapshot()
-		if err == nil {
-			env.Emit(obs.Event{Kind: obs.SessionCheckpoint, Seq: rep.Checkpoints, At: now,
-				N1: s.Outstanding(), N2: s.Metrics().Identified()})
-			rep.Checkpoints++
-		}
-		return cp, err
+	if env.Faults == nil || env.Faults.Config().CrashEvery <= 0 {
+		markEvery = 0 // nothing can crash, so no mark would ever be restored
 	}
 
 	// wallCap bounds total executed slots, rolled-back work included. The
@@ -297,19 +386,16 @@ func driveWorkload(p protocol.SessionProtocol, env *protocol.Env, wl *rng.Source
 			break
 		}
 		if markEvery > 0 && wall%uint64(markEvery) == 0 {
-			cp, err := snapshot(now)
+			cp, err := s.Snapshot()
 			if err != nil {
 				runErr = err
 				break
 			}
-			mark = rollbackMark{cp: cp, seq: rep.Checkpoints - 1, at: now, arrCur: arrCur, depCur: depCur,
+			env.Emit(obs.Event{Kind: obs.SessionCheckpoint, Seq: rep.Checkpoints, At: now,
+				N1: s.Outstanding(), N2: s.Metrics().Identified()})
+			mark = rollbackMark{cp: cp, seq: rep.Checkpoints, at: now, arrCur: arrCur, depCur: depCur,
 				present: present, identified: rep.Identified, tags: append(mark.tags[:0], rep.Tags...)}
-		}
-		if cfg.CheckpointEvery > 0 && now >= nextSnap {
-			_, _ = snapshot(now) // discarded; a failed snapshot is just not counted
-			for nextSnap <= now {
-				nextSnap += cfg.CheckpointEvery
-			}
+			rep.Checkpoints++
 		}
 
 		if _, err := s.Step(); err != nil {
@@ -368,6 +454,11 @@ func (r *DynamicResult) summarize() {
 		p50 = make([]float64, 0, n)
 		p90 = make([]float64, 0, n)
 		p99 = make([]float64, 0, n)
+		cr  = make([]float64, 0, n)
+		fl  = make([]float64, 0, n)
+		qr  = make([]float64, 0, n)
+		st  = make([]float64, 0, n)
+		hs  = make([]float64, 0, n)
 	)
 	for i := range r.Runs {
 		rep := &r.Runs[i]
@@ -384,6 +475,11 @@ func (r *DynamicResult) summarize() {
 			p90 = append(p90, workload.Percentile(lat, 90).Seconds())
 			p99 = append(p99, workload.Percentile(lat, 99).Seconds())
 		}
+		cr = append(cr, float64(rep.Crashes))
+		fl = append(fl, float64(rep.FaultsInjected))
+		qr = append(qr, float64(rep.Quarantined))
+		st = append(st, float64(rep.Stalls))
+		hs = append(hs, rep.HealthScore)
 	}
 	r.Admitted = stats.Summarize(adm)
 	r.Identified = stats.Summarize(idf)
@@ -393,4 +489,9 @@ func (r *DynamicResult) summarize() {
 	r.LatencyP50 = stats.Summarize(p50)
 	r.LatencyP90 = stats.Summarize(p90)
 	r.LatencyP99 = stats.Summarize(p99)
+	r.Crashes = stats.Summarize(cr)
+	r.FaultsInjected = stats.Summarize(fl)
+	r.Quarantined = stats.Summarize(qr)
+	r.Stalls = stats.Summarize(st)
+	r.HealthScore = stats.Summarize(hs)
 }

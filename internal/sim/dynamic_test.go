@@ -102,28 +102,53 @@ func TestRunDynamicOncePartialReport(t *testing.T) {
 	}
 }
 
-// TestRunDynamicRejectsFaults checks that a dynamic campaign configured
-// with fault injection fails loudly instead of running fault-free.
-func TestRunDynamicRejectsFaults(t *testing.T) {
+// TestRunDynamicCrashMarks checks that crash-recovery marks are taken
+// only when a crash can happen: a faulted run without crashes takes no
+// snapshot and emits no SessionCheckpoint event, and a crashing run still
+// takes its marks and restores from them.
+func TestRunDynamicCrashMarks(t *testing.T) {
 	p := fcat.New(fcat.Config{Lambda: 2})
-	cfg := dynamicConfig(1)
-	cfg.Faults = fault.Config{AckLoss: 0.5, MuteProb: 0.3}
-	if _, err := RunDynamic(p, cfg); !errors.Is(err, ErrDynamicFaults) {
-		t.Fatalf("RunDynamic: want ErrDynamicFaults, got %v", err)
-	}
-	if _, err := RunDynamicOnce(p, cfg, 0); !errors.Is(err, ErrDynamicFaults) {
-		t.Fatalf("RunDynamicOnce: want ErrDynamicFaults, got %v", err)
-	}
-	cfg.Workers = 4
-	if _, err := RunDynamic(p, cfg); !errors.Is(err, ErrDynamicFaults) {
-		t.Fatalf("RunDynamic with workers: want ErrDynamicFaults, got %v", err)
+	for _, tc := range []struct {
+		name   string
+		faults fault.Config
+	}{
+		{"ackloss", fault.Config{AckLoss: 0.1}},
+		{"crash", fault.Config{AckLoss: 0.1, CrashEvery: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var events int
+			cfg := dynamicConfig(1)
+			cfg.Faults = tc.faults
+			cfg.Tracer = obs.Func(func(ev obs.Event) {
+				if ev.Kind == obs.SessionCheckpoint {
+					events++
+				}
+			})
+			rep, err := RunDynamicOnce(p, cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FaultsInjected == 0 {
+				t.Fatal("no fault injected; the run does not exercise the fault path")
+			}
+			if events != rep.Checkpoints {
+				t.Errorf("%d session_checkpoint events for %d checkpoints", events, rep.Checkpoints)
+			}
+			crashes := tc.faults.CrashEvery > 0
+			if got := rep.Checkpoints > 0; got != crashes {
+				t.Errorf("CrashEvery %d: %d checkpoints taken", tc.faults.CrashEvery, rep.Checkpoints)
+			}
+			if crashes && rep.Crashes == 0 {
+				t.Error("crashing run restored from no mark")
+			}
+		})
 	}
 }
 
 // TestZeroDwellDepartures drives a departure hazard so high that every tag
 // leaves at the instant it arrives. The departure must still follow its
-// own tag's arrival, in the fault-free and the chaos entry point alike, and
-// a burst arrives whole before its tags leave.
+// own tag's arrival, with and without a fault channel and crashes, and a
+// burst arrives whole before its tags leave.
 func TestZeroDwellDepartures(t *testing.T) {
 	p := fcat.New(fcat.Config{Lambda: 2})
 	cfg := dynamicConfig(1)
@@ -146,20 +171,21 @@ func TestZeroDwellDepartures(t *testing.T) {
 				i, n, i%3+1)
 		}
 	}
-	if got := rep.Identified + rep.DepartedUnread + rep.ActiveUnread; got != rep.Admitted {
-		t.Errorf("RunDynamicOnce: accounting leak: %d != %d admitted", got, rep.Admitted)
+	if !rep.Accounted() || rep.Phantoms != 0 || rep.DupIdents != 0 {
+		t.Errorf("fault-free: invariants broken: %+v", rep)
 	}
-	assertAllDeparted(t, "RunDynamicOnce", rep.Tags)
+	assertAllDeparted(t, "fault-free", rep.Tags)
 
 	cfg.Tracer = nil
-	crep, err := RunChaosOnce(p, ChaosConfig{Config: cfg.Config, Workload: cfg.Workload}, 0)
+	cfg.Faults = fault.Config{AckLoss: 0.1, CrashEvery: 64}
+	crep, err := RunDynamicOnce(p, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !crep.Accounted() || crep.Phantoms != 0 || crep.DupIdents != 0 {
-		t.Errorf("RunChaosOnce: invariants broken: %+v", crep)
+		t.Errorf("faulted: invariants broken: %+v", crep)
 	}
-	assertAllDeparted(t, "RunChaosOnce", crep.Tags)
+	assertAllDeparted(t, "faulted", crep.Tags)
 }
 
 func assertAllDeparted(t *testing.T, entry string, tags []workload.TagRecord) {

@@ -146,11 +146,11 @@ func runError(p protocol.Protocol, cfg Config, run int, err error) error {
 	return fmt.Errorf("%s run %d (N=%d): %w", p.Name(), run, cfg.Tags, err)
 }
 
-// campaign is the one campaign runner behind Run, RunDynamic, RunChaos and
-// RunFleet. It executes once for runs 0..cfg.Runs-1 and returns their
-// outcomes in run order; metrics extracts the per-run Metrics handed to
-// cfg.Progress. once receives the campaign config with the Tracer it must
-// use for that run, and a scratch reused across the runs of one worker.
+// campaign is the one campaign runner behind Run, RunDynamic and RunFleet.
+// It executes once for runs 0..cfg.Runs-1 and returns their outcomes in run
+// order; metrics extracts the per-run Metrics handed to cfg.Progress. once
+// receives the campaign config with the Tracer it must use for that run,
+// and a scratch reused across the runs of one worker.
 //
 // With cfg.Workers <= 1 (or a single run) the runs execute in order on the
 // calling goroutine. Otherwise they run across min(Workers, Runs)

@@ -10,8 +10,7 @@
 // schedule of a given seed is one fixed script: the protocol consumes its
 // own stream exactly as a batch run would, and the schedule does not shift
 // when the protocol's draw count changes. The one driver that delivers a
-// Script to a session lives in internal/sim (RunWorkload, RunDynamic and
-// RunChaos).
+// Script to a session lives in internal/sim (RunDynamic).
 package workload
 
 import (
@@ -21,7 +20,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/ancrfid/ancrfid/internal/protocol"
 	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
@@ -46,10 +44,6 @@ type Config struct {
 	// applied on top of (or instead of) Dwell; whichever departure comes
 	// first wins. 0 disables it.
 	DepartureRate float64
-	// CheckpointEvery, when positive, snapshots the session at that
-	// simulated-time cadence and emits a SessionCheckpoint event per
-	// snapshot — the long-running reader-service pattern.
-	CheckpointEvery time.Duration
 }
 
 // withDefaults normalises the zero values.
@@ -102,48 +96,6 @@ func (t TagRecord) Latency() time.Duration {
 	return t.IdentifiedAt - t.ArrivedAt
 }
 
-// Report aggregates one dynamic run. The population accounting is total:
-// Admitted == Identified + DepartedUnread + ActiveUnread, so every
-// admitted tag is either identified or explicitly still in the field at
-// cutoff (or provably missed).
-type Report struct {
-	Protocol string
-	// Metrics are the session's protocol metrics at cutoff (Tags counts
-	// every tag ever admitted).
-	Metrics protocol.Metrics
-	// Tags holds one record per admitted tag, in admission order.
-	Tags []TagRecord
-
-	// Admitted counts every tag that entered the field (initial population
-	// included).
-	Admitted int
-	// Identified counts tags the reader collected before cutoff.
-	Identified int
-	// DepartedUnread counts missed reads: tags that left the field without
-	// being identified.
-	DepartedUnread int
-	// ActiveUnread counts tags still in the field and not yet identified
-	// at cutoff.
-	ActiveUnread int
-	// Checkpoints counts the session snapshots taken.
-	Checkpoints int
-	// Duration is the simulated air time actually consumed (>= the
-	// configured horizon unless the run errored).
-	Duration time.Duration
-}
-
-// Latencies returns the identification latencies of all identified tags,
-// in admission order.
-func (r *Report) Latencies() []time.Duration {
-	out := make([]time.Duration, 0, r.Identified)
-	for _, t := range r.Tags {
-		if t.Identified {
-			out = append(out, t.Latency())
-		}
-	}
-	return out
-}
-
 // Percentile returns the nearest-rank p-th percentile (0 < p <= 100) of
 // the given latencies; 0 for an empty set.
 func Percentile(lat []time.Duration, p float64) time.Duration {
@@ -169,7 +121,7 @@ type Arrival struct {
 }
 
 // Departure is one scheduled departure: the Seq-th admitted tag (its index
-// in Script.Arrivals and Report.Tags) leaves the field at At.
+// in Script.Arrivals and in a run report's Tags) leaves the field at At.
 type Departure struct {
 	At  time.Duration
 	Seq int

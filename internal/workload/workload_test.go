@@ -1,5 +1,6 @@
-// The driver tests run the one dynamic driver, sim.RunWorkload, over this
-// package's schedules; the external test package breaks the import cycle.
+// The driver tests run the one dynamic driver, sim.RunDynamicOnce, over
+// this package's schedules; the external test package breaks the import
+// cycle.
 package workload_test
 
 import (
@@ -7,38 +8,23 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ancrfid/ancrfid/internal/air"
-	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/fcat"
-	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/sim"
-	"github.com/ancrfid/ancrfid/internal/tagid"
 	"github.com/ancrfid/ancrfid/internal/workload"
 )
 
-// newEnv builds a fresh deterministic environment for one dynamic run.
-func newEnv(seed uint64, tags int) (*protocol.Env, *rng.Source) {
-	r := rng.New(seed)
-	pop := tagid.Population(r, tags)
-	wl := r.Split()
-	env := &protocol.Env{
-		RNG:     r,
-		Tags:    pop,
-		Channel: channel.NewAbstract(channel.AbstractConfig{Lambda: 2}, r),
-		Timing:  air.ICode(),
-		TxModel: protocol.TxBinomial,
-	}
-	return env, wl
+// runOnce executes run 0 of a fault-free dynamic campaign of FCAT-2 over
+// tags initial tags under cfg.
+func runOnce(seed uint64, tags int, cfg workload.Config) (sim.DynamicReport, error) {
+	dc := sim.DynamicConfig{Config: sim.Config{Tags: tags, Seed: seed}, Workload: cfg}
+	return sim.RunDynamicOnce(fcat.New(fcat.Config{Lambda: 2}), dc, 0)
 }
 
 // TestConveyorAccounting checks the total population accounting of a
 // conveyor run: every admitted tag ends identified, departed-unread, or
 // still-active, and the per-tag records agree with the aggregate counters.
 func TestConveyorAccounting(t *testing.T) {
-	env, wl := newEnv(7, 10)
-	p := fcat.New(fcat.Config{Lambda: 2})
-	rep, err := sim.RunWorkload(p, env, wl, workload.Conveyor(80, 500*time.Millisecond, 5*time.Second))
+	rep, err := runOnce(7, 10, workload.Conveyor(80, 500*time.Millisecond, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +71,8 @@ func TestConveyorAccounting(t *testing.T) {
 // byte-identical report.
 func TestRunDeterminism(t *testing.T) {
 	cfg := workload.Config{Duration: 2 * time.Second, ArrivalRate: 50, DepartureRate: 0.2, Burst: 3}
-	env1, wl1 := newEnv(11, 5)
-	rep1, err1 := sim.RunWorkload(fcat.New(fcat.Config{Lambda: 2}), env1, wl1, cfg)
-	env2, wl2 := newEnv(11, 5)
-	rep2, err2 := sim.RunWorkload(fcat.New(fcat.Config{Lambda: 2}), env2, wl2, cfg)
+	rep1, err1 := runOnce(11, 5, cfg)
+	rep2, err2 := runOnce(11, 5, cfg)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -97,26 +81,11 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestCheckpointCadence checks periodic snapshots are taken and counted.
-func TestCheckpointCadence(t *testing.T) {
-	env, wl := newEnv(3, 20)
-	cfg := workload.Config{Duration: 2 * time.Second, ArrivalRate: 20, CheckpointEvery: 250 * time.Millisecond}
-	rep, err := sim.RunWorkload(fcat.New(fcat.Config{Lambda: 2}), env, wl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Checkpoints < 4 {
-		t.Fatalf("expected at least 4 checkpoints over 2s at 250ms cadence, got %d", rep.Checkpoints)
-	}
-}
-
 // TestPortalMissedReads drives a portal with dwell far shorter than the
 // identification capacity allows, so some tags must depart unread — the
 // missed-read accounting has to catch them.
 func TestPortalMissedReads(t *testing.T) {
-	env, wl := newEnv(5, 0)
-	cfg := workload.Portal(40, 2, 30*time.Millisecond, 3*time.Second)
-	rep, err := sim.RunWorkload(fcat.New(fcat.Config{Lambda: 2}), env, wl, cfg)
+	rep, err := runOnce(5, 0, workload.Portal(40, 2, 30*time.Millisecond, 3*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
