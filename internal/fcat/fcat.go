@@ -545,7 +545,7 @@ func (r *session) doSlotAdvertised(p float64) (channel.Kind, error) {
 // Collisions are recorded for ANC, and every recovered ID is acknowledged
 // by its slot's index (Resolved).
 func (r *session) doSlot(p float64) (channel.Kind, error) {
-	slot, err := r.NextSlot()
+	slot, err := r.NextSlot(r.active.Len() == 0)
 	if err != nil {
 		return 0, err
 	}

@@ -45,9 +45,10 @@ type Core struct {
 
 	name  string
 	clock air.Clock // registered as Env.Clock
-	// slots counts the report slots run so far; NextSlot fails with
-	// ErrNoProgress once it reaches budget.
-	slots, budget int
+	// slots counts the report slots run so far, idle those of them run
+	// with nothing outstanding. The slot budget is spent by the rest:
+	// spent reports when they reach budget.
+	slots, idle, budget int
 }
 
 // Reader is the protocol half of Decode: what a delivered
@@ -165,15 +166,28 @@ func (c *Core) Charge(d time.Duration) { c.clock.Add(d) }
 // Slots returns the number of report slots claimed so far.
 func (c *Core) Slots() int { return c.slots }
 
-// NextSlot claims the next report slot and returns its index. It fails
-// with ErrNoProgress, which then sticks, when the slot budget is spent.
-func (c *Core) NextSlot() (int, error) {
-	if c.slots >= c.budget {
-		c.Err = ErrNoProgress
+// NextSlot claims the next report slot and returns its index. idle tells
+// that the session has nothing outstanding: a done session monitoring the
+// field, whose slot does not spend the budget. Any other slot fails with
+// ErrNoProgress, which then sticks, when the slot budget is spent.
+func (c *Core) NextSlot(idle bool) (int, error) {
+	if idle {
+		c.idle++
+	} else if c.spent() {
 		return 0, c.Err
 	}
 	c.slots++
 	return c.slots - 1, nil
+}
+
+// spent reports whether the slots run with tags outstanding have used up
+// the slot budget, and then records ErrNoProgress as the run error.
+func (c *Core) spent() bool {
+	if c.slots-c.idle < c.budget {
+		return false
+	}
+	c.Err = ErrNoProgress
+	return true
 }
 
 // Fail records err as the sticky run error and returns it as a Step

@@ -73,10 +73,10 @@ func (f *Framed) Unread() []tagid.ID { return f.unread }
 // counts and traces the frame (p is the traced report probability, 1
 // unless the protocol polls only part of the backlog) and returns the
 // frame's empty slot buckets for the caller to fill. It fails with
-// ErrNoProgress, which then sticks, when the slot budget is spent.
+// ErrNoProgress, which then sticks, when the slot budget is spent; a slot
+// run with an empty backlog does not spend it (see Core.NextSlot).
 func (f *Framed) StartFrame(size int, p float64) ([][]tagid.ID, error) {
-	if f.slots >= f.budget {
-		f.Err = ErrNoProgress
+	if len(f.unread) > 0 && f.spent() {
 		return nil, f.Err
 	}
 	f.clock.Add(f.Env.Timing.FrameAnnouncement())
@@ -120,6 +120,9 @@ func (f *Framed) EndSlot(kind channel.Kind, transmitters int) bool {
 	f.Transmissions += transmitters
 	f.CloseSlot(kind, transmitters)
 	f.SlotJ++
+	if len(f.unread) == 0 {
+		f.idle++
+	}
 	f.slots++
 	f.clock.Add(f.Env.Timing.Slot())
 	if f.SlotJ < f.FrameLen {

@@ -150,7 +150,7 @@ func (r *session) Step() (bool, error) {
 		r.Env.EmitNow(obsev.Event{Kind: obsev.EstimatorUpdate, F1: float64(r.n)})
 		return false, nil
 	}
-	slot, err := r.NextSlot()
+	slot, err := r.NextSlot(r.active.Len() == 0)
 	if err != nil {
 		return false, err
 	}

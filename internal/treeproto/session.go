@@ -42,7 +42,7 @@ func (s *absSession) Step() (bool, error) {
 	if s.Err != nil {
 		return false, s.Err
 	}
-	if _, err := s.NextSlot(); err != nil {
+	if _, err := s.NextSlot(len(s.stack) == 0); err != nil {
 		return false, err
 	}
 	var group []tagid.ID
@@ -230,6 +230,9 @@ type aqsState struct {
 	// active lists the currently present tags in admission order; rounds
 	// after the first re-read only the unidentified ones.
 	active []tagid.ID
+	// idle marks a round over an empty population with no tag admitted
+	// since: its slots monitor the field and do not spend the budget.
+	idle bool
 }
 
 var _ protocol.Session = (*aqsSession)(nil)
@@ -255,6 +258,7 @@ func (a *AQS) begin(env *protocol.Env, start []leaf) *aqsSession {
 func (s *aqsSession) beginRound(start []leaf, tags []tagid.ID) {
 	s.head = 0
 	s.nextLeaves = nil
+	s.idle = len(tags) == 0
 	if len(start) > 0 {
 		s.queue = replayLeaves(start, tags)
 		return
@@ -296,7 +300,7 @@ func (s *aqsSession) Step() (bool, error) {
 	if s.head >= len(s.queue) {
 		s.beginRound(s.leaves, s.unidentified())
 	}
-	if _, err := s.NextSlot(); err != nil {
+	if _, err := s.NextSlot(s.idle); err != nil {
 		return false, err
 	}
 	q := s.queue[s.head]
@@ -374,6 +378,7 @@ func (s *aqsSession) Admit(ids []tagid.ID) {
 		}
 		s.active = append(s.active, id)
 		s.M.Tags++
+		s.idle = false
 	}
 }
 
@@ -426,6 +431,7 @@ func (st aqsState) clone() aqsState {
 		nextLeaves: append([]leaf(nil), st.nextLeaves...),
 		leaves:     append([]leaf(nil), st.leaves...),
 		active:     append([]tagid.ID(nil), st.active...),
+		idle:       st.idle,
 	}
 }
 

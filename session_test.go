@@ -152,6 +152,44 @@ func TestSessionCheckpointMismatch(t *testing.T) {
 	}
 }
 
+// TestSessionStepsPastDone steps a finished 10-tag session of every
+// protocol 30 000 more times, well past its slot budget of 200·10+10 000
+// slots. Those slots only monitor the field, so they must not spend the
+// budget: no step fails, and a tag admitted afterwards is still read.
+func TestSessionStepsPastDone(t *testing.T) {
+	for _, name := range allProtocols {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			p, err := ancrfid.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, _ := ancrfid.AsSession(p)
+			r := ancrfid.NewRNG(3)
+			env := &ancrfid.Env{
+				RNG: r, Tags: ancrfid.Population(r, 10), Timing: ancrfid.ICodeTiming(),
+				Channel: ancrfid.NewAbstractChannel(ancrfid.AbstractChannelConfig{Lambda: 2}, r),
+			}
+			s := sp.Begin(env)
+			driveToDone(t, s)
+			for i := 0; i < 30000; i++ {
+				if _, err := s.Step(); err != nil {
+					t.Fatalf("step %d past done: %v", i, err)
+				}
+			}
+			s.Admit(ancrfid.Population(ancrfid.NewRNG(4), 1))
+			for s.Outstanding() > 0 {
+				if _, err := s.Step(); err != nil {
+					t.Fatalf("reading a tag admitted after the idle steps: %v", err)
+				}
+			}
+			if got := s.Metrics().Identified(); got != 11 {
+				t.Errorf("%d tags identified, want 11", got)
+			}
+		})
+	}
+}
+
 // TestDynamicFCATContinuousInventory is the acceptance scenario: FCAT
 // under Poisson arrivals at >= 50 tags/s over >= 10 s of simulated time
 // completes with every admitted tag identified or explicitly still-active
