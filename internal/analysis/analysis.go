@@ -28,27 +28,6 @@ func OptimalOmega(lambda int) float64 {
 	return math.Exp(logFact / float64(lambda))
 }
 
-// OptimalOmegaNumeric cross-checks OptimalOmega by golden-section search on
-// UsefulSlotProbPoisson over [0, 2*lambda].
-func OptimalOmegaNumeric(lambda int) float64 {
-	lo, hi := 0.0, 2*float64(lambda)+1
-	const phi = 0.6180339887498949
-	a, b := hi-phi*(hi-lo), lo+phi*(hi-lo)
-	fa, fb := UsefulSlotProbPoisson(a, lambda), UsefulSlotProbPoisson(b, lambda)
-	for hi-lo > 1e-12 {
-		if fa < fb {
-			lo, a, fa = a, b, fb
-			b = lo + phi*(hi-lo)
-			fb = UsefulSlotProbPoisson(b, lambda)
-		} else {
-			hi, b, fb = b, a, fa
-			a = hi - phi*(hi-lo)
-			fa = UsefulSlotProbPoisson(a, lambda)
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // UsefulSlotProbPoisson returns P{1 <= X <= lambda} for X ~ Poisson(omega):
 // the Poisson (large-N) approximation of the probability that a slot is a
 // singleton or a resolvable collision (paper, Eq. 4 generalised).
@@ -65,30 +44,6 @@ func UsefulSlotProbPoisson(omega float64, lambda int) float64 {
 	return sum * math.Exp(-omega)
 }
 
-// UsefulSlotProbBinomial returns P{1 <= X <= lambda} for X ~ Binomial(n, p):
-// the exact finite-population counterpart of UsefulSlotProbPoisson
-// (paper, Eq. 2).
-func UsefulSlotProbBinomial(n int, p float64, lambda int) float64 {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		if n <= lambda {
-			return 1
-		}
-		return 0
-	}
-	// Walk the pmf multiplicatively to avoid large binomial coefficients.
-	pdf := math.Pow(1-p, float64(n)) // P{X=0}
-	ratio := p / (1 - p)
-	sum := 0.0
-	for k := 1; k <= lambda && k <= n; k++ {
-		pdf *= ratio * float64(n-k+1) / float64(k)
-		sum += pdf
-	}
-	return sum
-}
-
 // ExpectedEmpty returns E(n0), the expected number of empty slots in a
 // frame of f slots when n tags each report with probability p (Eq. 7).
 func ExpectedEmpty(n int, p float64, f int) float64 {
@@ -103,14 +58,6 @@ func ExpectedSingleton(n int, p float64, f int) float64 {
 // ExpectedCollision returns E(nc) = f - E(n0) - E(n1) (Eq. 10).
 func ExpectedCollision(n int, p float64, f int) float64 {
 	return float64(f) - ExpectedEmpty(n, p, f) - ExpectedSingleton(n, p, f)
-}
-
-// CollisionCountVariance returns V(nc) for a frame of f slots (Eq. 19,
-// Poisson-approximated as in the appendix).
-func CollisionCountVariance(n int, p float64, f int) float64 {
-	np := float64(n) * p
-	q := (1 + np) * math.Exp(-np)
-	return float64(f) * q * (1 - q)
 }
 
 // EstimatorBias returns the relative bias Bias(N^/N) of the collision-count

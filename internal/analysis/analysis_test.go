@@ -12,6 +12,51 @@ func near(t *testing.T, got, want, tol float64, what string) {
 	}
 }
 
+// optimalOmegaNumeric cross-checks OptimalOmega by golden-section search on
+// UsefulSlotProbPoisson over [0, 2*lambda+1].
+func optimalOmegaNumeric(lambda int) float64 {
+	lo, hi := 0.0, 2*float64(lambda)+1
+	const phi = 0.6180339887498949
+	a, b := hi-phi*(hi-lo), lo+phi*(hi-lo)
+	fa, fb := UsefulSlotProbPoisson(a, lambda), UsefulSlotProbPoisson(b, lambda)
+	for hi-lo > 1e-12 {
+		if fa < fb {
+			lo, a, fa = a, b, fb
+			b = lo + phi*(hi-lo)
+			fb = UsefulSlotProbPoisson(b, lambda)
+		} else {
+			hi, b, fb = b, a, fa
+			a = hi - phi*(hi-lo)
+			fa = UsefulSlotProbPoisson(a, lambda)
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// usefulSlotProbBinomial returns P{1 <= X <= lambda} for X ~ Binomial(n, p):
+// the exact finite-population counterpart of UsefulSlotProbPoisson
+// (paper, Eq. 2).
+func usefulSlotProbBinomial(n int, p float64, lambda int) float64 {
+	if n <= 0 || p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		if n <= lambda {
+			return 1
+		}
+		return 0
+	}
+	// Walk the pmf multiplicatively to avoid large binomial coefficients.
+	pdf := math.Pow(1-p, float64(n)) // P{X=0}
+	ratio := p / (1 - p)
+	sum := 0.0
+	for k := 1; k <= lambda && k <= n; k++ {
+		pdf *= ratio * float64(n-k+1) / float64(k)
+		sum += pdf
+	}
+	return sum
+}
+
 func TestOptimalOmegaPaperValues(t *testing.T) {
 	// Section IV-C: 1.414, 1.817, 2.213 for lambda = 2, 3, 4.
 	near(t, OptimalOmega(2), math.Sqrt2, 1e-12, "omega(2)")
@@ -31,7 +76,7 @@ func TestOptimalOmegaLambdaOne(t *testing.T) {
 func TestOptimalOmegaMatchesNumericSearch(t *testing.T) {
 	for lambda := 1; lambda <= 8; lambda++ {
 		closed := OptimalOmega(lambda)
-		numeric := OptimalOmegaNumeric(lambda)
+		numeric := optimalOmegaNumeric(lambda)
 		near(t, closed, numeric, 1e-6, "omega closed vs numeric")
 	}
 }
@@ -63,26 +108,26 @@ func TestUsefulSlotProbBinomialConvergesToPoisson(t *testing.T) {
 	for _, lambda := range []int{1, 2, 3, 4} {
 		w := OptimalOmega(lambda)
 		n := 100000
-		near(t, UsefulSlotProbBinomial(n, w/float64(n), lambda),
+		near(t, usefulSlotProbBinomial(n, w/float64(n), lambda),
 			UsefulSlotProbPoisson(w, lambda), 1e-4, "binomial vs poisson")
 	}
 }
 
 func TestUsefulSlotProbBinomialEdges(t *testing.T) {
-	if UsefulSlotProbBinomial(0, 0.5, 2) != 0 {
+	if usefulSlotProbBinomial(0, 0.5, 2) != 0 {
 		t.Error("n=0")
 	}
-	if UsefulSlotProbBinomial(10, 0, 2) != 0 {
+	if usefulSlotProbBinomial(10, 0, 2) != 0 {
 		t.Error("p=0")
 	}
-	if UsefulSlotProbBinomial(2, 1, 2) != 1 {
+	if usefulSlotProbBinomial(2, 1, 2) != 1 {
 		t.Error("p=1, n<=lambda should be certain")
 	}
-	if UsefulSlotProbBinomial(5, 1, 2) != 0 {
+	if usefulSlotProbBinomial(5, 1, 2) != 0 {
 		t.Error("p=1, n>lambda should be impossible")
 	}
 	// Exact small case: n=2, p=0.5, lambda=2: P(X=1)+P(X=2) = 0.5+0.25.
-	near(t, UsefulSlotProbBinomial(2, 0.5, 2), 0.75, 1e-12, "n=2 exact")
+	near(t, usefulSlotProbBinomial(2, 0.5, 2), 0.75, 1e-12, "n=2 exact")
 }
 
 func TestExpectedSlotCountsSumToFrame(t *testing.T) {
@@ -129,13 +174,6 @@ func TestEstimatorVarianceShrinksWithFrameSize(t *testing.T) {
 	if EstimatorVariance(1.414, 60) >= EstimatorVariance(1.414, 30) {
 		t.Error("variance should shrink as the frame grows")
 	}
-}
-
-func TestCollisionCountVariance(t *testing.T) {
-	// V(nc) = f*q*(1-q) with q = (1+w)e^-w; at w=1.414, q=0.5864... no:
-	// q = (1+1.414)*e^-1.414 = 0.5865 -> V = 30*0.5865*0.4135.
-	q := (1 + 1.414) * math.Exp(-1.414)
-	near(t, CollisionCountVariance(10000, 1.414/10000, 30), 30*q*(1-q), 1e-6, "V(nc)")
 }
 
 func TestBounds(t *testing.T) {

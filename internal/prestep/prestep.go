@@ -164,48 +164,6 @@ func Estimate(env *protocol.Env, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// EstimateVariance returns the relative variance Var(N^/N) of a single
-// zero-estimator probe frame of f slots at per-slot occupancy rho = p/f
-// for a population of n tags. By the delta method on
-// N^ = ln(n0/f)/ln(1-rho) with Var(n0) = f*q*(1-q), q = (1-rho)^n:
-//
-//	Var(N^) = (1-q) / (f * q * ln^2(1-rho))
-//
-// Averaging T frames divides the variance by T — the knob behind
-// Kodialam & Nandagopal's "estimate to an arbitrary accuracy".
-func EstimateVariance(n int, f int, p float64) float64 {
-	rho := p / float64(f)
-	if rho <= 0 || rho >= 1 || n <= 0 || f <= 0 {
-		return math.Inf(1)
-	}
-	q := math.Pow(1-rho, float64(n))
-	if q <= 0 || q >= 1 {
-		return math.Inf(1)
-	}
-	l := math.Log(1 - rho)
-	return (1 - q) / (float64(f) * q * l * l) / (float64(n) * float64(n))
-}
-
-// PlanFrames returns the number of measurement frames needed so that the
-// averaged zero estimator's relative standard error drops below relErr for
-// a population around n (read at the locked-on persistence p). The probe
-// phase runs this many frames after the persistence search.
-func PlanFrames(n int, cfg Config, p, relErr float64) int {
-	cfg = cfg.withDefaults()
-	if relErr <= 0 {
-		return cfg.Frames
-	}
-	v := EstimateVariance(n, cfg.FrameSize, p)
-	if math.IsInf(v, 1) {
-		return cfg.Frames
-	}
-	frames := int(math.Ceil(v / (relErr * relErr)))
-	if frames < 1 {
-		frames = 1
-	}
-	return frames
-}
-
 // probeFrame simulates one probe frame: every tag picks a slot of the
 // frame with probability p; the reader only needs each slot's
 // empty/occupied/collided state. seq is the sequence number of the frame's

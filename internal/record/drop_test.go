@@ -22,8 +22,8 @@ func TestDropAbovePrunes(t *testing.T) {
 	if got := s.Add(0, big.Mix, ids[:4]); got != nil {
 		t.Fatalf("pruned Add returned %v", got)
 	}
-	if s.Active() != 0 || s.Dropped() != 1 || s.Total() != 1 {
-		t.Fatalf("after prune: active=%d dropped=%d total=%d", s.Active(), s.Dropped(), s.Total())
+	if s.Active() != 0 || s.dropped != 1 || s.total != 1 {
+		t.Fatalf("after prune: active=%d dropped=%d total=%d", s.Active(), s.dropped, s.total)
 	}
 	// Identifying members of the pruned record must not resolve anything.
 	if got := s.OnIdentified(ids[0]); len(got) != 0 {
@@ -51,8 +51,8 @@ func TestDropAboveZeroDisabled(t *testing.T) {
 	s := NewStore()
 	ob := ch.Observe(ids[:4])
 	s.Add(0, ob.Mix, ids[:4])
-	if s.Active() != 1 || s.Dropped() != 0 {
-		t.Fatalf("active=%d dropped=%d, want 1, 0", s.Active(), s.Dropped())
+	if s.Active() != 1 || s.dropped != 0 {
+		t.Fatalf("active=%d dropped=%d, want 1, 0", s.Active(), s.dropped)
 	}
 	s.OnIdentified(ids[0])
 	s.OnIdentified(ids[1])

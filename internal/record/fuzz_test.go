@@ -16,7 +16,8 @@ import (
 //   - no ID is ever yielded twice (duplicate identification),
 //   - no yielded ID is revoked at yield time (stale identification),
 //   - every yielded ID belongs to the universe (no phantom),
-//   - the active-record count never goes negative and never exceeds Total.
+//   - the active-record count never goes negative and never exceeds
+//     the stored total.
 //
 // The op encoding is deliberately permissive: any byte string decodes to a
 // valid sequence, so the fuzzer explores deep interleavings (cyclic record
@@ -70,8 +71,8 @@ func runCascadeOps(t *testing.T, data []byte, quarantine bool) {
 		if s.Active() < 0 {
 			t.Fatalf("quarantine=%v %s: negative active count %d", quarantine, op, s.Active())
 		}
-		if s.Active() > s.Total() {
-			t.Fatalf("quarantine=%v %s: active %d exceeds total %d", quarantine, op, s.Active(), s.Total())
+		if s.Active() > s.total {
+			t.Fatalf("quarantine=%v %s: active %d exceeds total %d", quarantine, op, s.Active(), s.total)
 		}
 	}
 

@@ -459,9 +459,6 @@ func (s *Store) discard(e *entry, reason string) {
 // Quarantined returns the number of records the store has quarantined.
 func (s *Store) Quarantined() int { return s.quarantined }
 
-// Dropped returns the number of records discarded by the DropAbove bound.
-func (s *Store) Dropped() int { return s.dropped }
-
 // Revoke removes a departed tag from the store's outstanding bookkeeping:
 // its member-index node is unlinked — invalidating every pending
 // collision-record membership, so no cascade will ever be started for the
@@ -508,9 +505,6 @@ func (s *Store) MarkKnown(id tagid.ID) {
 
 // Active returns the number of unresolved records currently held.
 func (s *Store) Active() int { return s.active }
-
-// Total returns the number of records ever stored.
-func (s *Store) Total() int { return s.total }
 
 // OnIdentified tells the store that the reader has learned id, and runs the
 // resolution cascade: the tag's signal is subtracted from every record it

@@ -25,8 +25,8 @@ func TestSimpleResolution(t *testing.T) {
 	tags := pop(2)
 	s := NewStore()
 	s.Add(5, newMix(t, 2, tags...), tags)
-	if s.Active() != 1 || s.Total() != 1 {
-		t.Fatalf("Active=%d Total=%d", s.Active(), s.Total())
+	if s.Active() != 1 || s.total != 1 {
+		t.Fatalf("Active=%d Total=%d", s.Active(), s.total)
 	}
 
 	got := s.OnIdentified(tags[0])
@@ -152,7 +152,7 @@ func TestEmptyStore(t *testing.T) {
 	if got := s.OnIdentified(pop(1)[0]); len(got) != 0 {
 		t.Fatal("empty store yielded recoveries")
 	}
-	if s.Active() != 0 || s.Total() != 0 {
+	if s.Active() != 0 || s.total != 0 {
 		t.Fatal("empty store has nonzero counts")
 	}
 }

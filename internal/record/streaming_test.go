@@ -91,7 +91,7 @@ func TestStoreResetEquivalence(t *testing.T) {
 		for i := 0; i+1 < len(ids); i += 2 {
 			resolved += len(s.OnIdentified(ids[i]))
 		}
-		return resolved, s.Active(), s.Total()
+		return resolved, s.Active(), s.total
 	}
 
 	fresh := NewStore()
@@ -101,9 +101,9 @@ func TestStoreResetEquivalence(t *testing.T) {
 	reused.SetReleaser(&recordingReleaser{})
 	exercise(reused)
 	reused.Reset()
-	if reused.Active() != 0 || reused.Total() != 0 || reused.Quarantined() != 0 {
+	if reused.Active() != 0 || reused.total != 0 || reused.Quarantined() != 0 {
 		t.Fatalf("Reset left counters: active=%d total=%d quarantined=%d",
-			reused.Active(), reused.Total(), reused.Quarantined())
+			reused.Active(), reused.total, reused.Quarantined())
 	}
 	if reused.releaser != nil || reused.cloned {
 		t.Fatal("Reset kept the releaser or the cloned latch")

@@ -30,31 +30,3 @@ func FromParts(manager uint32, class uint16, serial uint64) ID {
 	lo := (m&0xFFF)<<52 | uint64(class)<<36 | s
 	return New(hi, lo)
 }
-
-// payload returns the 80 payload bits as (hi 16, lo 64).
-func (id ID) payload() (uint16, uint64) {
-	hi := uint16(id[0])<<8 | uint16(id[1])
-	var lo uint64
-	for _, b := range id[2:10] {
-		lo = lo<<8 | uint64(b)
-	}
-	return hi, lo
-}
-
-// Manager returns the 28-bit vendor/manager field.
-func (id ID) Manager() uint32 {
-	hi, lo := id.payload()
-	return uint32(hi)<<12 | uint32(lo>>52)
-}
-
-// Class returns the 16-bit product-class field.
-func (id ID) Class() uint16 {
-	_, lo := id.payload()
-	return uint16(lo >> 36)
-}
-
-// Serial returns the 36-bit per-item serial field.
-func (id ID) Serial() uint64 {
-	_, lo := id.payload()
-	return lo & (1<<SerialBits - 1)
-}

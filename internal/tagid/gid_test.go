@@ -7,15 +7,41 @@ import (
 	"github.com/ancrfid/ancrfid/internal/rng"
 )
 
+// payload returns the 80 payload bits as (hi 16, lo 64).
+func payload(id ID) (uint16, uint64) {
+	hi := uint16(id[0])<<8 | uint16(id[1])
+	var lo uint64
+	for _, b := range id[2:10] {
+		lo = lo<<8 | uint64(b)
+	}
+	return hi, lo
+}
+
+// gidManager, gidClass and gidSerial decode the fields FromParts packs.
+func gidManager(id ID) uint32 {
+	hi, lo := payload(id)
+	return uint32(hi)<<12 | uint32(lo>>52)
+}
+
+func gidClass(id ID) uint16 {
+	_, lo := payload(id)
+	return uint16(lo >> 36)
+}
+
+func gidSerial(id ID) uint64 {
+	_, lo := payload(id)
+	return lo & (1<<SerialBits - 1)
+}
+
 func TestFromPartsRoundTrip(t *testing.T) {
 	prop := func(manager uint32, class uint16, serial uint64) bool {
 		m := manager & (1<<ManagerBits - 1)
 		s := serial & (1<<SerialBits - 1)
 		id := FromParts(manager, class, serial)
 		return id.Valid() &&
-			id.Manager() == m &&
-			id.Class() == class &&
-			id.Serial() == s
+			gidManager(id) == m &&
+			gidClass(id) == class &&
+			gidSerial(id) == s
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -24,24 +50,24 @@ func TestFromPartsRoundTrip(t *testing.T) {
 
 func TestFromPartsKnownLayout(t *testing.T) {
 	id := FromParts(0x0ABCDEF, 0x1234, 0x567890ABC)
-	if id.Manager() != 0x0ABCDEF {
-		t.Errorf("manager %#x", id.Manager())
+	if gidManager(id) != 0x0ABCDEF {
+		t.Errorf("manager %#x", gidManager(id))
 	}
-	if id.Class() != 0x1234 {
-		t.Errorf("class %#x", id.Class())
+	if gidClass(id) != 0x1234 {
+		t.Errorf("class %#x", gidClass(id))
 	}
-	if id.Serial() != 0x567890ABC {
-		t.Errorf("serial %#x", id.Serial())
+	if gidSerial(id) != 0x567890ABC {
+		t.Errorf("serial %#x", gidSerial(id))
 	}
 }
 
 func TestFromPartsTruncates(t *testing.T) {
 	id := FromParts(^uint32(0), 0xFFFF, ^uint64(0))
-	if id.Manager() != 1<<ManagerBits-1 {
-		t.Errorf("manager not truncated to %d bits: %#x", ManagerBits, id.Manager())
+	if gidManager(id) != 1<<ManagerBits-1 {
+		t.Errorf("manager not truncated to %d bits: %#x", ManagerBits, gidManager(id))
 	}
-	if id.Serial() != 1<<SerialBits-1 {
-		t.Errorf("serial not truncated to %d bits: %#x", SerialBits, id.Serial())
+	if gidSerial(id) != 1<<SerialBits-1 {
+		t.Errorf("serial not truncated to %d bits: %#x", SerialBits, gidSerial(id))
 	}
 }
 
