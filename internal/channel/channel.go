@@ -134,6 +134,24 @@ func Remaining(m Mixed) (int, bool) {
 	return r.Remaining(), true
 }
 
+// Doomed is implemented by Mixed recordings that can prove at capture time
+// that no sequence of subtractions will ever decode them: on the slot-level
+// channel, a collision of more than lambda tags (or one spoiled by noise).
+// The record store counts such a recording's memberships instead of
+// indexing them. Recordings whose fate depends on the samples (signal,
+// fault-wrapped and fleet recordings) do not implement it.
+type Doomed interface {
+	// Dead reports whether the recording can never decode.
+	Dead() bool
+}
+
+// Dead reports whether a recording is provably undecodable; false when the
+// recording does not implement Doomed.
+func Dead(m Mixed) bool {
+	d, ok := m.(Doomed)
+	return ok && d.Dead()
+}
+
 // Stateful is implemented by channels that keep persistent state drawn from
 // the RNG across Observe calls (the signal channel's lazily drawn per-tag
 // gains and oscillator offsets). Session checkpoints capture that state so
