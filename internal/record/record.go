@@ -11,6 +11,7 @@ package record
 
 import (
 	"errors"
+	"maps"
 
 	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/obs"
@@ -138,6 +139,14 @@ type Store struct {
 	// IDs, i.e. in practice forever.
 	knownOverflow map[tagid.ID]struct{}
 
+	// dead counts, per unidentified tag, the records the channel proved
+	// undecodable at capture (channel.Dead) that the tag is a member of.
+	// Such a record is never stored: outside Quarantine no subtraction can
+	// change its fate, so the count is all a cascade needs of it (the
+	// membership total its CascadeStep reports). nil until the first dead
+	// record.
+	dead map[tagid.ID]int32
+
 	// revoked records tags that left the field unidentified (dynamic
 	// workloads; see Revoke). A cascade that strips a record down to a
 	// revoked tag marks the record spent instead of yielding the ID: the
@@ -200,14 +209,22 @@ func (s *Store) SetReleaser(r channel.Releaser) {
 // release recycles a resolved entry's recording. Callers invoke it only
 // after every tracer event that reads the recording has fired.
 func (s *Store) release(e *entry) {
-	if s.releaser == nil || s.cloned || e.mix == nil {
-		return
+	if s.releaseMix(e.mix) {
+		// Drop the reference: the buffers behind it now belong to the
+		// channel again, and any stray decode of a released record must
+		// fail loudly rather than read recycled memory.
+		e.mix = nil
 	}
-	s.releaser.ReleaseMixed(e.mix)
-	// Drop the reference: the buffers behind it now belong to the channel
-	// again, and any stray decode of a released record must fail loudly
-	// rather than read recycled memory.
-	e.mix = nil
+}
+
+// releaseMix hands a recording back to the channel unless releasing is
+// off, and reports whether it did.
+func (s *Store) releaseMix(mix channel.Mixed) bool {
+	if s.releaser == nil || s.cloned || mix == nil {
+		return false
+	}
+	s.releaser.ReleaseMixed(mix)
+	return true
 }
 
 func (s *Store) newEntry(slot uint64, mix channel.Mixed) *entry {
@@ -323,11 +340,16 @@ func (s *Store) Add(slot uint64, mix channel.Mixed, members []tagid.ID) []Resolv
 			s.Tracer.Emit(obs.Event{Kind: obs.RecordQuarantined, Seq: int(slot), Label: "order",
 				N1: len(members)})
 		}
-		if s.releaser != nil && !s.cloned && mix != nil {
-			s.releaser.ReleaseMixed(mix)
-		}
+		s.releaseMix(mix)
 		return nil
 	}
+	if !s.Quarantine && channel.Dead(mix) {
+		s.addDead(slot, mix, members)
+		return nil
+	}
+	// Under Quarantine a dead record takes this indexed path too: the
+	// residual guard counts its subtractions and must still evict it once
+	// a single constituent remains, which a bare count cannot tell.
 	e := s.newEntry(slot, mix)
 	unknown := 0
 	for _, id := range members {
@@ -395,6 +417,42 @@ func (s *Store) Add(slot uint64, mix channel.Mixed, members []tagid.ID) []Resolv
 	return nil
 }
 
+// addDead books a recording the channel proves can never decode without
+// storing it: each unknown member's dead-membership count goes up, the
+// record counts as created and, with an unknown member, as active (it
+// will never resolve), exactly as the indexed record would, and the
+// recording goes straight back to the channel.
+func (s *Store) addDead(slot uint64, mix channel.Mixed, members []tagid.ID) {
+	if s.dead == nil {
+		s.dead = make(map[tagid.ID]int32, len(members))
+	}
+	unknown := 0
+	for _, id := range members {
+		if s.isKnown(id.HashPrefix(), id) {
+			continue
+		}
+		s.dead[id]++
+		unknown++
+	}
+	s.total++
+	if s.Tracer != nil {
+		s.Tracer.Emit(obs.Event{Kind: obs.RecordCreated, Seq: int(slot), N1: len(members), N2: unknown})
+	}
+	if unknown > 0 {
+		s.active++
+	}
+	s.releaseMix(mix)
+}
+
+// takeDead removes and returns id's dead-membership count.
+func (s *Store) takeDead(id tagid.ID) int {
+	n, ok := s.dead[id]
+	if ok {
+		delete(s.dead, id)
+	}
+	return int(n)
+}
+
 // Reset rewinds the store for a new run, retaining its arena chunks, map
 // bucket storage and cascade buffers. Equivalent to NewStore() in every
 // observable way: all counters, indexes, defenses and the releaser
@@ -415,6 +473,7 @@ func (s *Store) Reset() {
 		clear(s.known)
 	}
 	s.knownOverflow = nil
+	clear(s.dead)
 	s.revoked = nil
 	s.active, s.total, s.quarantined, s.dropped = 0, 0, 0, 0
 	s.releaser = nil
@@ -460,17 +519,18 @@ func (s *Store) discard(e *entry, reason string) {
 func (s *Store) Quarantined() int { return s.quarantined }
 
 // Revoke removes a departed tag from the store's outstanding bookkeeping:
-// its member-index node is unlinked — invalidating every pending
-// collision-record membership, so no cascade will ever be started for the
-// tag — and the ID is remembered so that a record whose residual strips
-// down to the departed tag is marked spent rather than yielding a stale
-// identification. Records the tag participated in remain stored: their
+// its member-index node and dead-membership count are dropped —
+// invalidating every pending collision-record membership, so no cascade
+// will ever be started for the tag — and the ID is remembered so that a
+// record whose residual strips down to the departed tag is marked spent
+// rather than yielding a stale identification. Records the tag participated in remain stored: their
 // other members can still be recovered by subtracting signals the reader
 // does know. Revoking an identified or unknown tag only marks the ID.
 func (s *Store) Revoke(id tagid.ID) {
 	if node := s.takeMember(id.HashPrefix(), id); node != nil {
 		node.e0, node.e1, node.more = nil, nil, nil
 	}
+	s.takeDead(id)
 	if s.revoked == nil {
 		s.revoked = make(map[tagid.ID]struct{})
 	}
@@ -526,11 +586,20 @@ func (s *Store) cascade() {
 		x := s.queue[head]
 		s.markKnown(x.pre, x.id)
 		node := s.takeMember(x.pre, x.id)
-		if node == nil {
+		dead := s.takeDead(x.id)
+		if node == nil && dead == 0 {
 			continue
 		}
 		if s.Tracer != nil {
-			s.Tracer.Emit(obs.Event{Kind: obs.CascadeStep, ID: x.id, N1: node.n, N2: x.depth})
+			// N1 counts every membership, dead ones included.
+			live := 0
+			if node != nil {
+				live = node.n
+			}
+			s.Tracer.Emit(obs.Event{Kind: obs.CascadeStep, ID: x.id, N1: live + dead, N2: x.depth})
+		}
+		if node == nil {
+			continue
 		}
 		for i := 0; i < node.n; i++ {
 			e := node.record(i)
@@ -645,6 +714,7 @@ func (s *Store) Clone() (*Store, error) {
 			c.knownOverflow[id] = struct{}{}
 		}
 	}
+	c.dead = maps.Clone(s.dead)
 	if s.revoked != nil {
 		c.revoked = make(map[tagid.ID]struct{}, len(s.revoked))
 		for id := range s.revoked {
