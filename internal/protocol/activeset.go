@@ -17,7 +17,9 @@ import (
 type ActiveSet struct {
 	ids      []tagid.ID
 	prefixes []tagid.HashPrefix
-	pos      map[tagid.ID]int
+	// pos maps each active tag to its index in ids; int32 positions keep
+	// a map slot at 16 B for the 12-byte IDs.
+	pos map[tagid.ID]int32
 
 	// idx is the reusable scratch for TxBinomial's distinct-index draws; it
 	// keeps steady-state slots allocation-free.
@@ -37,12 +39,12 @@ func NewActiveSet(tags []tagid.ID) *ActiveSet {
 	s := &ActiveSet{
 		ids:      make([]tagid.ID, len(tags)),
 		prefixes: make([]tagid.HashPrefix, len(tags)),
-		pos:      make(map[tagid.ID]int, len(tags)),
+		pos:      make(map[tagid.ID]int32, len(tags)),
 	}
 	copy(s.ids, tags)
 	for i, id := range s.ids {
 		s.prefixes[i] = id.HashPrefix()
-		s.pos[id] = i
+		s.pos[id] = int32(i)
 	}
 	return s
 }
@@ -65,13 +67,13 @@ func (s *ActiveSet) ResetTags(tags []tagid.ID) {
 	}
 	copy(s.ids, tags)
 	if s.pos == nil {
-		s.pos = make(map[tagid.ID]int, n)
+		s.pos = make(map[tagid.ID]int32, n)
 	} else {
 		clear(s.pos)
 	}
 	for i, id := range s.ids {
 		s.prefixes[i] = id.HashPrefix()
-		s.pos[id] = i
+		s.pos[id] = int32(i)
 	}
 }
 
@@ -95,7 +97,7 @@ func (s *ActiveSet) Add(id tagid.ID) bool {
 	if _, ok := s.pos[id]; ok {
 		return false
 	}
-	s.pos[id] = len(s.ids)
+	s.pos[id] = int32(len(s.ids))
 	s.ids = append(s.ids, id)
 	s.prefixes = append(s.prefixes, id.HashPrefix())
 	return true
@@ -107,7 +109,7 @@ func (s *ActiveSet) Clone() *ActiveSet {
 	c := &ActiveSet{
 		ids:      make([]tagid.ID, len(s.ids)),
 		prefixes: make([]tagid.HashPrefix, len(s.prefixes)),
-		pos:      make(map[tagid.ID]int, len(s.pos)),
+		pos:      make(map[tagid.ID]int32, len(s.pos)),
 		stream:   s.stream,
 	}
 	copy(c.ids, s.ids)
@@ -155,9 +157,9 @@ func (s *ActiveSet) compact() {
 	s.ids, s.prefixes = ids, prefixes
 	// Rebuild the map from the slice (deterministic order) so its bucket
 	// storage, sized for the peak population, is released too.
-	pos := make(map[tagid.ID]int, n)
+	pos := make(map[tagid.ID]int32, n)
 	for i, id := range ids {
-		pos[id] = i
+		pos[id] = int32(i)
 	}
 	s.pos = pos
 }

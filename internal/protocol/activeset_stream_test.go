@@ -40,7 +40,7 @@ func TestActiveSetStreamCompaction(t *testing.T) {
 		if !s.Contains(id) {
 			t.Fatalf("live tag %v lost by compaction", id)
 		}
-		if s.pos[id] != i {
+		if int(s.pos[id]) != i {
 			t.Fatalf("position index stale for %v", id)
 		}
 	}
@@ -95,7 +95,7 @@ func TestActiveSetResetTags(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", s.Len(), fresh.Len())
 	}
 	for i, id := range fresh.IDs() {
-		if s.ids[i] != id || s.prefixes[i] != fresh.prefixes[i] || s.pos[id] != i {
+		if s.ids[i] != id || s.prefixes[i] != fresh.prefixes[i] || int(s.pos[id]) != i {
 			t.Fatalf("reset set diverges from fresh set at %d", i)
 		}
 	}
