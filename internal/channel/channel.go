@@ -136,10 +136,12 @@ func Remaining(m Mixed) (int, bool) {
 
 // Doomed is implemented by Mixed recordings that can prove at capture time
 // that no sequence of subtractions will ever decode them: on the slot-level
-// channel, a collision of more than lambda tags (or one spoiled by noise).
-// The record store counts such a recording's memberships instead of
-// indexing them. Recordings whose fate depends on the samples (signal,
-// fault-wrapped and fleet recordings) do not implement it.
+// channel, a collision of more than lambda tags (or one spoiled by noise),
+// and on either channel a Spoiled recording (fault bursts, corrupted
+// singletons, fleet interference). The record store counts such a
+// recording's memberships instead of indexing them. Recordings whose fate
+// depends on the samples (signal and decode-corrupted recordings) do not
+// implement it.
 type Doomed interface {
 	// Dead reports whether the recording can never decode.
 	Dead() bool

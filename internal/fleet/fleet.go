@@ -379,13 +379,7 @@ func (f *fleetRun) setup() {
 			env.Tracer = rd.buf
 		}
 		if fc := cfg.readerFaults(i); fc.Enabled() {
-			inj := fault.New(fc, cfg.Seed^uint64(i)*readerSalt, f.run)
-			fch := fault.WrapChannel(ch, inj)
-			fch.Tracer = env.Tracer
-			fch.AdmitAll(rd.pop)
-			env.Channel = fch
-			env.Faults = inj
-			rd.fch = fch
+			rd.fch = env.InjectFaults(fault.New(fc, cfg.Seed^uint64(i)*readerSalt, f.run))
 		}
 		if cfg.Zones > 1 {
 			rd.gate = &rfGate{inner: env.Channel}

@@ -94,8 +94,8 @@ func (l LinkBudget) SignalConfig() channel.SignalConfig {
 // The victim asymmetry: a slot is spoiled when an adjacent-zone
 // transmission committed in an earlier scheduling window covers its start.
 // Empty slots stay empty (carrier sense distinguishes an idle tag field
-// from garbled backscatter); singleton and collision slots degrade to an
-// ANC-unrecoverable collision recording.
+// from garbled backscatter); singleton and collision slots degrade to a
+// channel.Spoiled recording of the slot's transmitters.
 type rfGate struct {
 	inner channel.Channel
 	// interfered is set by the scheduler immediately before the step that
@@ -110,64 +110,5 @@ func (g *rfGate) Observe(transmitters []tagid.ID) channel.Observation {
 	if !g.interfered || o.Kind == channel.Empty {
 		return o
 	}
-	return channel.Observation{Kind: channel.Collision, Mix: newSpoiledMix(transmitters)}
+	return channel.Observation{Kind: channel.Collision, Mix: channel.Spoiled(transmitters)}
 }
-
-// spoiledMix is the recording of a slot ruined by reader-to-reader
-// interference: the ground-truth membership is intact (the simulator knows
-// who transmitted), but no amount of ANC cancellation recovers a residual
-// — Decode always fails. Under hardened mode the record store's
-// residual-energy guard quarantines it once stripped to one member; under
-// normal operation the unidentified members simply keep retransmitting.
-type spoiledMix struct {
-	members    []tagid.ID
-	subtracted []bool
-	remaining  int
-}
-
-var (
-	_ channel.Mixed    = (*spoiledMix)(nil)
-	_ channel.Cloner   = (*spoiledMix)(nil)
-	_ channel.Residual = (*spoiledMix)(nil)
-)
-
-func newSpoiledMix(transmitters []tagid.ID) *spoiledMix {
-	return &spoiledMix{
-		members:    append([]tagid.ID(nil), transmitters...),
-		subtracted: make([]bool, len(transmitters)),
-		remaining:  len(transmitters),
-	}
-}
-
-func (m *spoiledMix) Contains(id tagid.ID) bool {
-	for _, mem := range m.members {
-		if mem == id {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *spoiledMix) Subtract(id tagid.ID) {
-	for i, mem := range m.members {
-		if mem == id && !m.subtracted[i] {
-			m.subtracted[i] = true
-			m.remaining--
-			return
-		}
-	}
-}
-
-func (m *spoiledMix) Decode() (tagid.ID, bool) { return tagid.ID{}, false }
-
-func (m *spoiledMix) Multiplicity() int { return len(m.members) }
-
-func (m *spoiledMix) CloneMixed() channel.Mixed {
-	return &spoiledMix{
-		members:    append([]tagid.ID(nil), m.members...),
-		subtracted: append([]bool(nil), m.subtracted...),
-		remaining:  m.remaining,
-	}
-}
-
-func (m *spoiledMix) Remaining() int { return m.remaining }

@@ -147,6 +147,20 @@ func (e *Env) Now() time.Duration {
 // fault-free runs keep their historical, bit-reproducible behaviour.
 func (e *Env) Hardened() bool { return e.Faults != nil }
 
+// InjectFaults layers inj over the run: it wraps Channel in a fault.Channel
+// that reports to Tracer and has admitted Tags, and installs the wrapper as
+// Channel and inj as Faults. Call it once Channel, Tags and Tracer are set.
+// The returned wrapper must follow later admissions and departures (its
+// Admit and Revoke) so that stuck responders come and go with their tags.
+func (e *Env) InjectFaults(inj *fault.Injector) *fault.Channel {
+	fch := fault.WrapChannel(e.Channel, inj)
+	fch.Tracer = e.Tracer
+	fch.AdmitAll(e.Tags)
+	e.Channel = fch
+	e.Faults = inj
+	return fch
+}
+
 // AckDelivered draws whether one acknowledgement reaches its tag. The
 // baseline PAckLoss draw always happens first (and consumes the run RNG
 // identically whether or not faults are configured); the injector can only

@@ -212,11 +212,7 @@ func RunDynamicOnce(p protocol.SessionProtocol, cfg DynamicConfig, run int) (Dyn
 
 	var fch *fault.Channel
 	if cfg.Faults.Enabled() {
-		env.Faults = fault.New(cfg.Faults, cfg.Seed, run)
-		fch = fault.WrapChannel(env.Channel, env.Faults)
-		fch.Tracer = env.Tracer
-		fch.AdmitAll(env.Tags)
-		env.Channel = fch
+		fch = env.InjectFaults(fault.New(cfg.Faults, cfg.Seed, run))
 	}
 
 	rep, err := driveWorkload(p, env, wl, cfg.Workload, cfg.CheckpointEvery, fch)

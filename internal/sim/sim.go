@@ -341,12 +341,7 @@ func runOnce(p protocol.Protocol, cfg Config, run int, sc *runScratch) (protocol
 		env.Scratch = &sc.ps
 	}
 	if cfg.Faults.Enabled() {
-		inj := fault.New(cfg.Faults, cfg.Seed, run)
-		fch := fault.WrapChannel(ch, inj)
-		fch.Tracer = env.Tracer
-		fch.AdmitAll(tags)
-		env.Channel = fch
-		env.Faults = inj
+		env.InjectFaults(fault.New(cfg.Faults, cfg.Seed, run))
 	}
 	return p.Run(env)
 }
