@@ -575,11 +575,6 @@ type (
 	FaultConfig = fault.Config
 	// FaultBurstConfig parameterises Gilbert-Elliott burst noise.
 	FaultBurstConfig = fault.Burst
-	// FaultInjector is the deterministic per-run fault source (advanced use:
-	// build one with NewFaultInjector and wrap a channel for custom Envs).
-	FaultInjector = fault.Injector
-	// FaultChannel is a channel wrapped with fault injection.
-	FaultChannel = fault.Channel
 	// FaultKind labels an injected fault (the Sub field of a
 	// TraceFaultInjected event).
 	FaultKind = obs.FaultKind
@@ -604,19 +599,6 @@ const (
 	// FaultCrash marks a reader crash.
 	FaultCrash = obs.FaultCrash
 )
-
-// NewFaultInjector derives the deterministic fault source for one run; the
-// same (cfg, seed, run) triple always yields the same fault sequence.
-func NewFaultInjector(cfg FaultConfig, seed uint64, run int) *FaultInjector {
-	return fault.New(cfg, seed, run)
-}
-
-// WrapFaultChannel wraps ch with fault injection for custom Envs: set the
-// returned channel (after AdmitAll of the initial population) as
-// Env.Channel and the injector as Env.Faults.
-func WrapFaultChannel(ch Channel, inj *FaultInjector) *FaultChannel {
-	return fault.WrapChannel(ch, inj)
-}
 
 // OptimalOmega returns (lambda!)^(1/lambda), the report-probability
 // constant that maximises useful slots for an ANC decoder of capability
