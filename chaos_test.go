@@ -30,6 +30,12 @@ var chaosShapes = []struct {
 		CorruptSingleton: 0.1,
 		CorruptDecode:    0.3,
 	}},
+	// Stuck responders key up whatever the report probability is, so with
+	// bursts on top FCAT's bootstrap probe collides all the way down.
+	{"stuck+burst", ancrfid.FaultConfig{
+		StuckProb: 0.2,
+		Burst:     ancrfid.FaultBurstConfig{Duty: 0.1, MeanBad: 4},
+	}},
 	{"crash-restart", ancrfid.FaultConfig{
 		AckLoss:    0.1,
 		Burst:      ancrfid.FaultBurstConfig{Duty: 0.08, MeanBad: 4},

@@ -203,7 +203,9 @@ func (s *sim) estimateFrame(nc, n0, n1 int, p float64) (float64, bool) {
 }
 
 // bootstrap mirrors fcat's geometric probe: single slots at p = 1/2, 1/4,
-// ... until one does not collide. done reports an empty field.
+// ... until one does not collide, or until p reaches one over the slot
+// budget, whose population bound is then the estimate. done reports an
+// empty field.
 func (s *sim) bootstrap() (est float64, done bool, err error) {
 	p := 1.0
 	for {
@@ -224,8 +226,8 @@ func (s *sim) bootstrap() (est float64, done bool, err error) {
 			}
 			return 1 / p, false, nil
 		}
-		if p < 1e-9 {
-			return 0, false, protocol.ErrNoProgress
+		if p*float64(s.budget) <= 1 {
+			return float64(s.budget), false, nil
 		}
 	}
 }

@@ -172,22 +172,6 @@ const (
 	phOracleFrame
 )
 
-// errBootstrapStuck fails a bootstrap whose probe slots collided until
-// the probe probability underflowed: something keys up whatever p is (a
-// stuck responder, a jammed channel), so halving p further cannot locate
-// the population. It wraps protocol.ErrNoProgress without quoting it:
-// fmt.Errorf's %w would append the sentinel's "slot budget exhausted"
-// text, and no budget was spent.
-var errBootstrapStuck error = bootstrapStuck{}
-
-type bootstrapStuck struct{}
-
-func (bootstrapStuck) Error() string {
-	return "fcat: bootstrap probe never cleared: every probe slot collided down to p < 1e-9"
-}
-
-func (bootstrapStuck) Unwrap() error { return protocol.ErrNoProgress }
-
 // bootReason records why a bootstrap is running: the initial order-of-
 // magnitude location, or the relocation after an answered termination
 // probe.
@@ -268,10 +252,16 @@ func (r *session) Step() (bool, error) {
 				return r.Fail(err)
 			}
 			if kind == channel.Collision || kind == channel.Captured {
-				if r.bootP < 1e-9 {
-					return r.Fail(errBootstrapStuck)
+				budget := float64(r.Env.SlotBudget())
+				if r.bootP*budget > 1 {
+					return false, nil // next bootstrap slot at bootP/2
 				}
-				return false, nil // next bootstrap slot at bootP/2
+				// Still colliding at one over the slot budget: something
+				// keys up whatever p is (a stuck responder, a jammed
+				// channel). A run identifies at most one tag per slot, so
+				// the budget bounds any population it can read; read in
+				// frames from that bound.
+				return r.finishBootstrap(budget)
 			}
 			// Around the first non-collision, N*p has dropped to order 1,
 			// so N is of order 1/p.

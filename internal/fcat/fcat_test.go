@@ -2,7 +2,6 @@ package fcat
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -307,32 +306,25 @@ func TestCustomOmegaCompletes(t *testing.T) {
 // jammedChannel reports a collision in every slot, whoever transmits.
 type jammedChannel struct{}
 
-func (jammedChannel) Observe([]tagid.ID) channel.Observation {
-	return channel.Observation{Kind: channel.Collision, Mix: jammedMix{}}
+func (jammedChannel) Observe(tx []tagid.ID) channel.Observation {
+	return channel.Observation{Kind: channel.Collision, Mix: channel.Spoiled(tx)}
 }
 
-type jammedMix struct{}
-
-func (jammedMix) Contains(tagid.ID) bool   { return false }
-func (jammedMix) Subtract(tagid.ID)        {}
-func (jammedMix) Decode() (tagid.ID, bool) { return tagid.ID{}, false }
-func (jammedMix) Multiplicity() int        { return 2 }
-
+// TestBootstrapNeverClears: when every slot collides, the bootstrap stops
+// halving its probe at one over the slot budget and FCAT reads in frames
+// until the budget is spent, failing with ErrNoProgress.
 func TestBootstrapNeverClears(t *testing.T) {
 	e := env(18, 50, channel.AbstractConfig{Lambda: 2})
 	e.Channel = jammedChannel{}
+	e.MaxSlots = 3000
 	m, err := New(Config{Lambda: 2}).Run(e)
 	if !errors.Is(err, protocol.ErrNoProgress) {
-		t.Fatalf("err = %v, want one wrapping ErrNoProgress", err)
+		t.Fatalf("err = %v, want ErrNoProgress", err)
 	}
-	if !strings.Contains(err.Error(), "bootstrap probe never cleared") {
-		t.Fatalf("err = %q, want it to name the bootstrap probe", err)
+	if got := m.TotalSlots(); got != e.MaxSlots {
+		t.Fatalf("failed after %d slots, want the whole budget of %d", got, e.MaxSlots)
 	}
-	if strings.Contains(err.Error(), "budget") {
-		t.Fatalf("err = %q names a slot budget that was not spent", err)
-	}
-	// The probe halves p from 1/2 until it drops below 1e-9: 30 slots.
-	if got := m.TotalSlots(); got != 30 {
-		t.Fatalf("failed after %d slots, want 30", got)
+	if m.Frames == 0 {
+		t.Fatal("never left the bootstrap for framed reading")
 	}
 }
